@@ -14,7 +14,7 @@ and runs four flow-sensitive rule families over it:
   nondeterminism sources (``time.time``, ``datetime.now``, un-funneled
   ``random``/``np.random``, ``os.urandom``, set iteration, threading)
   into the simulation core (``env``/``core``/``serving``/``faults``),
-  machine-checking the batchtrain bit-parity contract.
+  machine-checking the training-loop bit-parity contract.
 - **RL103 clock-write funnels** — only the approved funnel methods may
   advance, rewind, or assign the virtual clock; every other mutation
   site is flagged.

@@ -9,7 +9,9 @@ every timestamp downstream.  This rule inverts the burden: clock
 every other mutation site — ``.clock.advance()``, ``.clock.reset()``,
 an assignment or augmented assignment to a ``now_ms`` attribute, or the
 same through a local alias of a ``.clock`` chain or a ``Stopwatch()``
-constructed locally — is a violation.
+constructed locally — is a violation.  So is taking a bound-method
+alias (``clock_advance = env.clock.advance``): whoever calls it later
+writes the clock, so the reference itself is the finding.
 
 Reading the clock (``env.clock.now_ms``) is unrestricted; time is
 observable everywhere, writable almost nowhere.
@@ -133,21 +135,30 @@ def _function_bodies(info: ModuleInfo) -> Iterator[Tuple[str, ast.AST]]:
     yield from walk(info.tree, "")
 
 
+def _is_clock_owner(owner: ast.AST, aliases: Set[str]) -> bool:
+    return (_is_clock_chain(_attr_chain(owner))
+            or (isinstance(owner, ast.Name) and owner.id in aliases))
+
+
 def _writes_in(scope: ast.AST, aliases: Set[str]
                ) -> Iterator[Tuple[ast.AST, str]]:
     """Yield ``(node, kind)`` for every clock write in one scope."""
-    for node in _walk_scope(scope):
+    nodes = list(_walk_scope(scope))
+    called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    for node in nodes:
         if isinstance(node, ast.Call) and isinstance(node.func,
                                                      ast.Attribute):
             method = node.func.attr
-            if method not in _WRITE_METHODS:
-                continue
-            owner = node.func.value
-            chain = _attr_chain(owner)
-            if _is_clock_chain(chain):
+            if method in _WRITE_METHODS \
+                    and _is_clock_owner(node.func.value, aliases):
                 yield node, f"clock.{method}"
-            elif isinstance(owner, ast.Name) and owner.id in aliases:
-                yield node, f"clock.{method}"
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)
+              and node.attr in _WRITE_METHODS
+              and id(node) not in called
+              and _is_clock_owner(node.value, aliases)):
+            # A bound-method alias: ``advance = env.clock.advance``.
+            yield node, f"clock.{node.attr}"
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])

@@ -1,6 +1,6 @@
 """RL102 — determinism taint into the simulation core.
 
-The batchtrain parity contract (PR 5) and every seeded regression in
+The training-loop parity contract and every seeded regression in
 this repo assume the simulation core is a pure function of its seed.
 This rule machine-checks that: it marks every function whose body
 touches a **nondeterminism source** — wall clocks, un-funneled RNGs,

@@ -52,30 +52,14 @@ def _quiescent_observation(observation):
 def _nominal_best(environment, use_case, observation, candidates):
     """Feasibility-first min-energy candidate under the nominal model.
 
-    Uses one ``estimate_all`` sweep when the environment provides it
-    (candidates index into the sweep, no scalar ``estimate`` loop);
-    otherwise falls back to per-candidate scalar estimates.  Returns
+    One ``estimate_all`` sweep; candidates index into it.  Returns
     ``None`` when no candidate is accuracy-feasible.
     """
-    estimate_all = getattr(environment, "estimate_all", None)
-    if estimate_all is not None:
-        sweep = estimate_all(use_case.network, observation)
-        index = sweep.argbest(
-            use_case,
-            indices=[sweep.index_of(target) for target in candidates],
-        )
-        return None if index is None else sweep.targets[index]
-    best, best_rank = None, None
-    for target in candidates:
-        result = environment.estimate(use_case.network, target, observation)
-        if not use_case.meets_accuracy(result.accuracy_pct):
-            continue
-        # Feasible options sort before infeasible; energy breaks ties.
-        rank = (not use_case.meets_qos(result.latency_ms),
-                result.energy_mj)
-        if best_rank is None or rank < best_rank:
-            best, best_rank = target, rank
-    return best
+    sweep = environment.estimate_all(use_case.network, observation)
+    index = sweep.argbest(
+        use_case, indices=[sweep.index_of(target) for target in candidates],
+    )
+    return None if index is None else sweep.targets[index]
 
 
 class EdgeCpuFp32(Scheduler):

@@ -8,6 +8,11 @@ estimated energy, and the stored accuracy; and (5) updates the Q-table.
 
 The engine instruments its own decision/update path with wall-clock
 timers, which is what the Section VI-C overhead analysis measures.
+
+Training episodes (:meth:`AutoScale.run`) run through one hoisted loop
+that is bit-identical to calling :meth:`AutoScale.step` per inference;
+every execution goes through the environment's one executor,
+:meth:`~repro.env.environment.EdgeCloudEnvironment.execute`.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.contracts import contracts_enabled
 from repro.common import ConfigError, make_rng
 from repro.core.action import ActionSpace
 from repro.core.convergence import ConvergenceDetector
@@ -481,8 +487,7 @@ class AutoScale:
                                    observation, deadline_ms)
 
     def step_with_action(self, use_case, action, observation,
-                         explored=False, deadline_ms=None, cached=False,
-                         state=None):
+                         explored=False, deadline_ms=None, state=None):
         """Algorithm 1 with the selection already made.
 
         The batched serving drain selects once per ``(network, state)``
@@ -490,12 +495,9 @@ class AutoScale:
         request through this entry point: execute, reward, successor
         observation, and Q update all still happen *per request*, so the
         learning dynamics are identical to :meth:`step` — only the
-        redundant selections are elided.
-
-        ``cached=True`` routes the execution through
-        :meth:`~repro.env.environment.EdgeCloudEnvironment.execute_cached`
-        (bit-identical cached-nominal fast path); it is incompatible
-        with ``deadline_ms``, which only the uncached executor honours.
+        redundant selections are elided.  Execution goes through
+        :meth:`~repro.env.environment.EdgeCloudEnvironment.execute`, the
+        environment's one executor, as in :meth:`step`.
 
         ``state``, when given, must be the caller's already-computed
         ``observe_state(use_case.network, observation)`` — encoding is
@@ -509,27 +511,19 @@ class AutoScale:
                 f"action {action} outside the "
                 f"{len(self.action_space)}-action space"
             )
-        if cached and deadline_ms is not None:
-            raise ConfigError(
-                "cached execution does not support deadline_ms"
-            )
         if state is None:
             state = self.observe_state(use_case.network, observation)
         return self._complete_step(use_case, state, action, explored,
-                                   observation, deadline_ms, cached=cached)
+                                   observation, deadline_ms)
 
     def _complete_step(self, use_case, state, action, explored,
-                       observation, deadline_ms, cached=False):
+                       observation, deadline_ms):
         """Execute + reward + successor-observe + update for one request."""
         env = self.environment
         network = use_case.network
         target = self.action_space.target(action)
-
-        if cached and deadline_ms is None:
-            result = env.execute_cached(network, target, observation)
-        else:
-            result = env.execute(network, target, observation,
-                                 deadline_ms=deadline_ms)
+        result = env.execute(network, target, observation,
+                             deadline_ms=deadline_ms)
 
         started = time.perf_counter()
         reward = compute_reward(result, use_case, self.reward_config)
@@ -555,11 +549,167 @@ class AutoScale:
         self.history.append(record)
         return record
 
-    def run(self, use_case, num_inferences):
-        """Run ``num_inferences`` Algorithm-1 cycles for one use case."""
+    def run(self, use_case, num_inferences, stop_on_convergence=False):
+        """Run up to ``num_inferences`` Algorithm-1 cycles for one use case.
+
+        Returns the steps taken.  With ``stop_on_convergence`` the
+        episode ends right after the step on which the reward converged
+        (the online-adaptation protocol).
+
+        One eligibility predicate picks the loop: a training engine
+        whose environment has no active fault plan runs the hoisted
+        :meth:`_train` loop, bit-identical to per-step :meth:`step`
+        calls; any other configuration (frozen engine, active faults)
+        calls :meth:`step` per inference.
+        """
         if num_inferences < 1:
             raise ConfigError("num_inferences must be >= 1")
-        return [self.step(use_case) for _ in range(num_inferences)]
+        if self.training and not self.environment.faults_active:
+            return self._train(use_case, num_inferences,
+                               stop_on_convergence)
+        steps = []
+        for _ in range(num_inferences):
+            steps.append(self.step(use_case))
+            if stop_on_convergence and self.converged:
+                break
+        return steps
+
+    def _train(self, use_case, num_inferences, stop_on_convergence):
+        """``num_inferences`` training :meth:`step` cycles in one loop.
+
+        Bit-identical to calling :meth:`step` per inference: the same
+        draws from both RNG streams in the same order (environment:
+        observation in dynamic scenarios, execution jitters, successor
+        observation; engine: one uniform per step plus one integer when
+        exploring), the same float arithmetic, and the same history
+        records, Q-table, visit counts, convergence bookkeeping and
+        clock.  Execution goes through ``env.execute``, so due kernel
+        events fire exactly where :meth:`step` fires them.
+
+        The savings are per-step dispatch and, under a static scenario
+        (which draws nothing and returns the same values every time),
+        one reused observation instead of two samples per step.  A
+        kernel event that swaps the scenario mid-episode ends the reuse
+        on the step it fires.
+
+        With runtime contracts on (``REPRO_CONTRACTS``/pytest) reward
+        and Q update go through the instrumented ``compute_reward`` and
+        ``QTable.update``; with contracts off (the production
+        configuration) they run as inlined replicas of the same float
+        expressions.
+        """
+        env = self.environment
+        network = use_case.network
+        qtable = self.qtable
+        values = qtable.values
+        visits = qtable.visits
+        gamma = qtable.config.learning_rate
+        mu = qtable.config.discount
+        epsilon = self.config.epsilon
+        targets = self.action_space.targets
+        n_actions = len(targets)
+        target_keys = [target.key for target in targets]
+        reward_config = self.reward_config
+        alpha = reward_config.alpha
+        beta = reward_config.beta
+        normalize = reward_config.normalize
+        energy_ref_mj = reward_config.energy_ref_mj
+        accuracy_target = use_case.accuracy_target
+        qos_ms = use_case.qos_ms
+        convergence = self.convergence
+        converge_observe = convergence.observe
+        select_append = self.overhead.select_us.append
+        update_append = self.overhead.update_us.append
+        history_append = self.history.append
+        engine_random = self.rng.random
+        engine_integers = self.rng.integers
+        observe = env.observe
+        execute = env.execute
+        encode = self.state_space.encode
+        perf_counter = time.perf_counter
+        faithful = contracts_enabled()
+
+        scenario = env.scenario
+        static = env.scenario_is_static
+        observation = None
+        steps = []
+        for _ in range(num_inferences):
+            if observation is None or not static:
+                observation = observe()
+                state = encode(network, observation)
+            started = perf_counter()
+            if engine_random() < epsilon:
+                action = int(engine_integers(n_actions))
+                explored = True
+            else:
+                # np.argmax dispatches here anyway; call it directly.
+                action = int(values[state].argmax())
+                explored = False
+            select_append((perf_counter() - started) * 1e6)
+
+            result = execute(network, targets[action], observation)
+
+            started = perf_counter()
+            if faithful or result.failed:
+                reward = compute_reward(result, use_case, reward_config)
+            else:
+                # Equation (5) (``compute_reward``) inline, normalized
+                # branch, non-failed results only.  Same expressions,
+                # same order.
+                accuracy = result.accuracy_pct
+                if accuracy_target is not None \
+                        and accuracy < accuracy_target:
+                    reward = (-50.0 + (accuracy - 100.0) / 100.0
+                              if normalize else accuracy - 100.0)
+                else:
+                    latency_ms = result.latency_ms
+                    if normalize:
+                        cost_term = (result.estimated_energy_mj
+                                     / energy_ref_mj)
+                        time_term = latency_ms / energy_ref_mj
+                    else:
+                        cost_term = result.estimated_energy_mj / 1000.0
+                        time_term = latency_ms / 1000.0
+                    reward = -cost_term + beta * (accuracy / 100.0)
+                    if latency_ms <= qos_ms:
+                        reward += alpha * time_term
+            if env.scenario is not scenario:
+                # A kernel event fired during execute swapped the
+                # scenario: re-observe now and at the next step.
+                scenario = env.scenario
+                static = env.scenario_is_static
+                observation = None
+                next_state = encode(network, observe())
+            elif static:
+                # step() re-observes here; a static scenario returns the
+                # same values without drawing, so reuse.
+                next_state = state
+            else:
+                next_state = encode(network, observe())
+            if faithful:
+                q_delta = qtable.update(state, action, reward, next_state)
+            else:
+                # QTable.update's expression chain, verbatim (np.max
+                # dispatches to ndarray.max; same bits, less overhead).
+                target_q = reward + mu * float(values[next_state].max())
+                delta = gamma * (target_q - values[state, action])
+                values[state, action] += delta
+                visits[state, action] += 1
+                qtable.update_count += 1
+                q_delta = float(delta)
+            if not explored:
+                converge_observe(reward, executed_action=action)
+            update_append((perf_counter() - started) * 1e6)
+            record = AutoScaleStep(
+                state=state, action=action, target_key=target_keys[action],
+                reward=reward, result=result, explored=explored,
+                q_delta=q_delta,
+            )
+            history_append(record)
+            steps.append(record)
+            if stop_on_convergence and convergence.converged:
+                break
+        return steps
 
     # ------------------------------------------------------------------
     # Prediction (trained-table usage)

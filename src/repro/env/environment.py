@@ -8,10 +8,11 @@ against:
 - ``targets()`` — the execution-scaling action space (Section V-C);
 - ``observe()`` — the runtime-variance readings before an inference;
 - ``execute(network, target)`` — run the inference, advance virtual time,
-  return the measured :class:`ExecutionResult`;
-- ``estimate(network, target, observation)`` — the deterministic nominal
-  model (no noise, no clock), which the prediction-based baselines fit and
-  the oracle searches;
+  return the measured :class:`ExecutionResult`; the one per-request
+  executor every scheduler, trainer and serving drain goes through;
+- ``estimate(network, target, observation)`` — the same path with unit
+  jitters: the deterministic nominal model (no noise, no clock), which the
+  prediction-based baselines fit and the oracle searches;
 - ``estimate_all(network, observation)`` — the same nominal model for the
   *whole* action space in one vectorized pass (a
   :class:`~repro.env.costcache.NominalSweep`), which is what every
@@ -22,24 +23,18 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.common import ConfigError, Stopwatch, make_rng
 from repro.env.costcache import NominalCostEngine
 from repro.env.injection import resolve_injector
 from repro.env.executor import (
     NoiseConfig,
-    finish_local_execution,
-    finish_remote_execution,
-    jitter_plan,
-    local_execution,
+    jitter_slots,
     partitioned_execution,
     pipelined_local_execution,
-    remote_execution,
 )
 from repro.env.observation import Observation
 from repro.env.scenarios import build_scenario
-from repro.env.target import ExecutionTarget, Location, enumerate_targets
+from repro.env.target import Location, enumerate_targets
 from repro.hardware.devices import cloud_server, galaxy_tab_s6
 from repro.interference.corunner import ConstantCoRunner
 from repro.interference.model import InterferenceModel
@@ -53,6 +48,9 @@ __all__ = ["EdgeCloudEnvironment"]
 #: Virtual think-time between consecutive inferences (ms); keeps dynamic
 #: scenarios' trace co-runners moving through their phases.
 _INTER_ARRIVAL_MS = 150.0
+
+#: ``estimate``'s jitters, indexed by ``target.is_remote``: every slot 1.0.
+_UNIT_JITTERS = ((1.0, 1.0), (1.0,) * 5)
 
 
 class EdgeCloudEnvironment:
@@ -139,9 +137,9 @@ class EdgeCloudEnvironment:
 
         Constant co-runner + constant signals (Table IV's S1-S5) sample
         no RNG values and return identical observations every step, so
-        batched fast paths (training campaigns, the vectorized serving
-        drain) can elide repeated observe/encode work without touching
-        the RNG stream or any downstream value.
+        fast paths (the training loop of ``AutoScale.run``, the
+        vectorized serving drain) can elide repeated observe/encode work
+        without touching the RNG stream or any downstream value.
         """
         scenario = self._scenario
         return (isinstance(scenario.corunner, ConstantCoRunner)
@@ -175,12 +173,26 @@ class EdgeCloudEnvironment:
         return self._fault_injector.stats
 
     @property
+    def noise(self):
+        """The :class:`NoiseConfig`; setting it re-derives the jitter
+        slots :meth:`execute` draws."""
+        return self._noise
+
+    @noise.setter
+    def noise(self, noise):
+        self._noise = noise
+        # Indexed by ``target.is_remote``.
+        self._jitter_slots = (jitter_slots(noise, False),
+                              jitter_slots(noise, True))
+
+    @property
     def faults_active(self):
         """True when the fault plan can alter remote attempts.
 
-        The batched execution path checks this: active faults draw from
-        the RNG stream data-dependently, so batching falls back to the
-        scalar :meth:`execute` whenever this is set.
+        Active faults draw from the RNG stream data-dependently and turn
+        results into failed attempts, so the training loop of
+        ``AutoScale.run`` falls back to per-step ``AutoScale.step``
+        whenever this is set.
         """
         return self._fault_injector.active
 
@@ -280,6 +292,14 @@ class EdgeCloudEnvironment:
         If ``observation`` is omitted, a fresh one is sampled — this is
         the normal serving loop: observe, decide, execute.
 
+        The nominal components (latency, link transfer times) come from
+        the cost engine's exact value-keyed caches; the jitters are
+        drawn in the pinned scalar slot order
+        (:func:`~repro.env.executor.jitter_slots`) and the target's
+        finisher applies eq. (1)-(4).  The result is bit-identical to
+        the layer-walk reference (``local_execution``/
+        ``remote_execution``) with the same RNG.
+
         With an active fault plan, a remote attempt may come back as a
         :class:`~repro.faults.FailedAttempt` that bills the energy the
         dead attempt burned.  ``deadline_ms`` (used by the resilient
@@ -289,9 +309,17 @@ class EdgeCloudEnvironment:
         """
         if observation is None:
             observation = self.observe()
-        result = self._run(network, target, observation, rng=self.rng)
+        finish, args = self._cost_engine.finishing_inputs(network, target,
+                                                          observation)
+        remote = target.location is not Location.LOCAL
+        standard_normal = self.rng.standard_normal
+        exp = math.exp
+        result = finish(*args, [
+            exp(sigma * standard_normal()) if sigma is not None else 1.0
+            for sigma in self._jitter_slots[remote]
+        ])
         injector = self._fault_injector
-        if target.is_remote and (injector.active or deadline_ms is not None):
+        if remote and (injector.active or deadline_ms is not None):
             if deadline_ms is not None and injector.plan is None:
                 # The null injector cannot enforce deadlines; upgrade to
                 # the real one (the deadline came from the resilience
@@ -311,143 +339,14 @@ class EdgeCloudEnvironment:
         self.kernel.advance_by(result.latency_ms + self.think_time_ms)
         return result
 
-    # ------------------------------------------------------------------
-    # Batched execution (cached nominals + vectorized jitter draws)
-    # ------------------------------------------------------------------
-
-    def _jitter_plans(self):
-        """Per-location jitter plans for the current noise config.
-
-        The positive sigmas are stored pre-converted to an ndarray so
-        the per-request ``rng.normal`` call skips the list-to-array
-        conversion (same draws either way).
-        """
-        plans = getattr(self, "_jitter_plan_cache", None)
-        if plans is None or plans[0] is not self.noise:
-            local_sigmas, local_flags = jitter_plan(self.noise, False)
-            remote_sigmas, remote_flags = jitter_plan(self.noise, True)
-            plans = (self.noise,
-                     (np.asarray(local_sigmas), local_flags),
-                     (np.asarray(remote_sigmas), remote_flags))
-            self._jitter_plan_cache = plans
-        return plans
-
-    def _finish_cached(self, network, target, observation, jitters):
-        """Complete one request from cached nominals + drawn jitters."""
-        engine = self._cost_engine
-        if target.location is Location.LOCAL:
-            proc, nominal_ms, slowdown = engine.local_nominal(
-                network, target, observation
-            )
-            return finish_local_execution(
-                self.device, proc, network, target, observation,
-                self.accuracy, nominal_ms, slowdown,
-                jitters[0], jitters[1],
-            )
-        _, link = self._remote_setup(target)
-        rssi_dbm = self._rssi_for(target, observation)
-        remote_nominal_ms = engine.remote_nominal_ms(network, target)
-        tx_base_ms, rx_base_ms, rtt_base_ms = engine.link_nominal(
-            network, target, rssi_dbm
-        )
-        tx_slow = self.interference.transmission_slowdown(observation)
-        return finish_remote_execution(
-            self.device, network, target, link, rssi_dbm, self.accuracy,
-            remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms,
-            tx_slow, jitters,
-        )
-
-    def execute_cached(self, network, target, observation):
-        """One inference through the cached-nominal (batched) path.
-
-        Bit-identical to :meth:`execute` with an explicit observation —
-        same RNG draws, same result, same clock advance — but reads the
-        expensive nominal components (layer-walk latency, link transfer
-        times) from the exact cache instead of recomputing them.  Falls
-        back to :meth:`execute` while the fault plan is active (faults
-        consume the RNG stream data-dependently).
-        """
-        if self._fault_injector.active:
-            return self.execute(network, target, observation)
-        _, local_plan, remote_plan = self._jitter_plans()
-        positive_sigmas, draw_flags = (remote_plan if target.is_remote
-                                       else local_plan)
-        if positive_sigmas.size:
-            draws = self.rng.normal(0.0, positive_sigmas)
-        else:
-            draws = ()
-        jitters = []
-        cursor = 0
-        for has_draw in draw_flags:
-            if has_draw:
-                jitters.append(math.exp(draws[cursor]))
-                cursor += 1
-            else:
-                jitters.append(1.0)
-        result = self._finish_cached(network, target, observation, jitters)
-        self.kernel.advance_by(result.latency_ms + self.think_time_ms)
-        return result
-
-    def execute_batch(self, network, targets, observations):
-        """Execute a chunk of inferences with vectorized jitter draws.
-
-        Per-request draw order (the parity contract with the scalar
-        path): requests consume the environment RNG in sequence; request
-        ``i`` draws its jitters in the scalar order — local targets
-        ``(latency, power)``, remote targets ``(server, tx, rx, rtt,
-        power)`` — skipping any zero-sigma slot exactly as the scalar
-        ``_jitter`` does.  All of the chunk's positive sigmas are drawn
-        in a **single** ``rng.normal(0.0, sigmas)`` call; NumPy's
-        ``Generator`` fills the array element-wise from the same stream,
-        so the draws (and the bit-generator state afterwards) are
-        bit-identical to scalar per-request draws.
-
-        Nominal components come from the exact value-keyed caches, and
-        the finishing arithmetic is shared with the scalar executor, so
-        the returned :class:`ExecutionResult`\\ s and the clock advances
-        are bit-identical to calling :meth:`execute` per request with
-        the same ``observation``.
-
-        With an active fault plan the whole chunk falls back to scalar
-        :meth:`execute` calls (fault sampling interleaves data-dependent
-        draws that cannot be batched).
-        """
-        if len(targets) != len(observations):
-            raise ConfigError(
-                f"execute_batch got {len(targets)} targets for "
-                f"{len(observations)} observations"
-            )
-        if self._fault_injector.active:
-            return [self.execute(network, target, observation)
-                    for target, observation in zip(targets, observations)]
-        _, local_plan, remote_plan = self._jitter_plans()
-        chunk_sigmas = []
-        for target in targets:
-            positive_sigmas, _ = (remote_plan if target.is_remote
-                                  else local_plan)
-            chunk_sigmas.extend(positive_sigmas)
-        draws = self.rng.normal(0.0, chunk_sigmas) if chunk_sigmas else ()
-        cursor = 0
-        results = []
-        for target, observation in zip(targets, observations):
-            _, draw_flags = (remote_plan if target.is_remote
-                             else local_plan)
-            jitters = []
-            for has_draw in draw_flags:
-                if has_draw:
-                    jitters.append(math.exp(draws[cursor]))
-                    cursor += 1
-                else:
-                    jitters.append(1.0)
-            result = self._finish_cached(network, target, observation,
-                                         jitters)
-            self.kernel.advance_by(result.latency_ms + self.think_time_ms)
-            results.append(result)
-        return results
-
     def estimate(self, network, target, observation):
-        """Deterministic nominal model: no noise, no clock advance."""
-        return self._run(network, target, observation, rng=None)
+        """Deterministic nominal model: no noise, no clock advance.
+
+        :meth:`execute`'s path with every jitter 1.0 and no RNG draw.
+        """
+        finish, args = self._cost_engine.finishing_inputs(network, target,
+                                                          observation)
+        return finish(*args, _UNIT_JITTERS[target.is_remote])
 
     def estimate_all(self, network, observation, use_cache=True):
         """Nominal model for **every** target in one vectorized pass.
@@ -464,23 +363,8 @@ class EdgeCloudEnvironment:
 
     @property
     def cost_engine(self):
-        """The batched nominal-cost engine (cache stats, invalidation)."""
+        """The nominal-cost engine (exact caches, sweeps, invalidation)."""
         return self._cost_engine
-
-    def _run(self, network, target, observation, rng):
-        load = self._load_from(observation)
-        if target.location is Location.LOCAL:
-            return local_execution(
-                self.device, network, target, load, self.interference,
-                self.accuracy, rng=rng, noise=self.noise,
-            )
-        remote, link = self._remote_setup(target)
-        return remote_execution(
-            self.device, remote, network, target, link,
-            self._rssi_for(target, observation), self.accuracy,
-            rng=rng, noise=self.noise,
-            load=load, interference=self.interference,
-        )
 
     # ------------------------------------------------------------------
     # Layer-granularity execution (baseline schedulers)

@@ -16,6 +16,14 @@ Ground truth differs from the estimate in two ways, mirroring reality:
 Passing ``rng=None`` disables all noise, turning every function into the
 deterministic *nominal model* — exactly what the prediction-based baselines
 (and the Opt oracle construction) fit or search over.
+
+The whole-model eq. (1)-(4) arithmetic lives in exactly one place per
+location: :func:`local_finisher` and :func:`remote_finisher`, which turn
+nominal components plus jitters into an :class:`ExecutionResult`.
+:meth:`EdgeCloudEnvironment.execute` feeds them nominals from the cost
+engine's exact caches; :func:`local_execution` and
+:func:`remote_execution` are the layer-walk reference that computes the
+nominals from scratch and calls the same finishers.
 """
 
 from __future__ import annotations
@@ -23,11 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common import ConfigError
 from repro.env.result import ExecutionResult
-from repro.env.target import ExecutionTarget, Location
+from repro.env.target import Location
 from repro.hardware.power import (
     cpu_energy_mj,
     dsp_energy_mj,
@@ -39,9 +45,10 @@ from repro.wireless.energy import transmission_energy_mj
 
 __all__ = [
     "NoiseConfig",
-    "jitter_plan",
-    "finish_local_execution",
-    "finish_remote_execution",
+    "busy_power_mw",
+    "jitter_slots",
+    "local_finisher",
+    "remote_finisher",
     "local_execution",
     "remote_execution",
     "partitioned_execution",
@@ -77,21 +84,17 @@ def _jitter(rng, sigma):
     return float(math.exp(rng.normal(0.0, sigma)))
 
 
-def jitter_plan(noise, is_remote):
-    """The scalar path's jitter-draw order for one request, as data.
+def jitter_slots(noise, is_remote):
+    """One request's jitter slots in the pinned scalar draw order.
 
-    Returns ``(positive_sigmas, draw_flags)``: the sigmas that actually
-    consume an RNG draw (in draw order) and, aligned with the *full*
-    jitter sequence, whether each slot draws.  The sequences mirror
-    :func:`local_execution` / :func:`remote_execution` exactly:
-
-    - local:  ``(latency_sigma, power_sigma)`` — 2 slots;
+    - local:  ``(latency_sigma, power_sigma)``;
     - remote: ``(server_sigma, network_sigma x3 [tx, rx, rtt],
-      power_sigma)`` — 5 slots.
+      power_sigma)``.
 
-    A zero sigma draws nothing (matching :func:`_jitter`), which is why
-    the flags are needed: the batched path must skip exactly the slots
-    the scalar path skips to consume the RNG stream identically.
+    A zero sigma becomes ``None``: that slot draws nothing and its
+    jitter is exactly 1.0, as in :func:`_jitter`.  A positive slot's
+    jitter is ``exp(sigma * rng.standard_normal())``, bit-identical to
+    ``exp(rng.normal(0.0, sigma))`` (same ziggurat draw, same scaling).
     """
     if is_remote:
         sigmas = (noise.server_sigma, noise.network_sigma,
@@ -99,13 +102,29 @@ def jitter_plan(noise, is_remote):
                   noise.power_sigma)
     else:
         sigmas = (noise.latency_sigma, noise.power_sigma)
-    return ([sigma for sigma in sigmas if sigma > 0.0],
-            tuple(sigma > 0.0 for sigma in sigmas))
+    return tuple(sigma if sigma > 0.0 else None for sigma in sigmas)
 
 
 def _contention_power_factor(load):
     """Busy-power surcharge from co-runner bus/DRAM traffic (truth only)."""
     return 1.0 + 0.10 * load.mem_util + 0.05 * load.cpu_util
+
+
+def busy_power_mw(proc, vf_index):
+    """The eq. (1)-(3) busy power of a fully busy run at ``vf_index``.
+
+    Equal, term for term, to what ``cpu_energy_mj`` (full-cluster
+    utilization), ``gpu_energy_mj`` and ``dsp_energy_mj`` charge per
+    millisecond.
+    """
+    if proc.kind is ProcessorKind.CPU:
+        core_fraction = proc.num_cores / proc.num_cores
+        return proc.idle_power_mw + (
+            proc.busy_power_at(vf_index) - proc.idle_power_mw
+        ) * core_fraction
+    if proc.kind is ProcessorKind.GPU:
+        return proc.busy_power_at(vf_index)
+    return proc.busy_power_mw  # DSP/NPU: constant pre-measured power
 
 
 def _processor_energy(proc, busy_ms, vf_index):
@@ -125,46 +144,112 @@ def _host_overheads_mj(device, latency_ms, role):
     return energy_mj
 
 
-def finish_local_execution(device, proc, network, target, load,
-                           accuracy_table, nominal_ms, slowdown,
-                           lat_jitter, pwr_jitter):
-    """Complete a local execution from its nominal components + jitters.
+def local_finisher(device, proc, target):
+    """The eq. (1)-(3) finishing arithmetic for one local target.
 
-    The arithmetic here is the *single source of truth* shared by the
-    scalar path (:func:`local_execution`, which computes the nominal and
-    draws the jitters itself) and the batched path
-    (:meth:`EdgeCloudEnvironment.execute_batch`, which reads the nominal
-    from the exact cache and draws the jitters vectorized) — so the two
-    are bit-identical by construction.  ``load`` only feeds the
-    contention power factor, so any object with ``cpu_util``/``mem_util``
-    (a ``CoRunnerLoad`` or an ``Observation``) works.
+    Every latency-independent coefficient is resolved once; the returned
+    ``finish(nominal_ms, slowdown, load, accuracy_pct, jitters)`` turns
+    the nominal compute time and the jitter pair ``(latency, power)``
+    into the :class:`ExecutionResult`.  ``load`` only feeds the
+    contention power factor, so a ``CoRunnerLoad`` or an
+    ``Observation`` both work.
     """
-    latency_ms = nominal_ms * lat_jitter
-    busy_mj = _processor_energy(proc, latency_ms, target.vf_index)
-    overhead_mj = _host_overheads_mj(device, latency_ms, target.role)
-    estimate_mj = busy_mj + overhead_mj
-    truth_mj = (
-        busy_mj * _contention_power_factor(load)
-        * pwr_jitter
-        + overhead_mj
-    )
-    return ExecutionResult(
-        latency_ms=latency_ms,
-        energy_mj=truth_mj,
-        estimated_energy_mj=estimate_mj,
-        accuracy_pct=accuracy_table.lookup(network.name, target.precision),
-        target_key=target.key,
-        detail={
-            "compute_ms": latency_ms,
-            "slowdown": slowdown,
-            "busy_mj": busy_mj,
-        },
-    )
+    power_mw = busy_power_mw(proc, target.vf_index)
+    platform_mw = device.soc.platform_idle_mw
+    host_idle_mw = (device.soc.cpu.idle_power_mw
+                    if target.role != "cpu" else None)
+    target_key = target.key
+
+    def finish(nominal_ms, slowdown, load, accuracy_pct, jitters):
+        lat_jitter, pwr_jitter = jitters
+        latency_ms = nominal_ms * lat_jitter
+        busy_mj = power_mw * latency_ms / 1000.0
+        overhead_mj = platform_mw * latency_ms / 1000.0
+        if host_idle_mw is not None:
+            overhead_mj = overhead_mj + host_idle_mw * latency_ms / 1000.0
+        return ExecutionResult(
+            latency_ms=latency_ms,
+            energy_mj=(busy_mj * _contention_power_factor(load)
+                       * pwr_jitter + overhead_mj),
+            estimated_energy_mj=busy_mj + overhead_mj,
+            accuracy_pct=accuracy_pct,
+            target_key=target_key,
+            detail={
+                "compute_ms": latency_ms,
+                "slowdown": slowdown,
+                "busy_mj": busy_mj,
+            },
+        )
+
+    return finish
+
+
+def remote_finisher(device, link, target):
+    """The eq. (4) finishing arithmetic for one remote target.
+
+    The link's constant powers and tail energy are resolved once; the
+    returned ``finish(remote_nominal_ms, tx_base_ms, rx_base_ms,
+    rtt_base_ms, tx_slow, tx_power_mw, accuracy_pct, jitters)`` turns
+    the load- and noise-free nominals into the :class:`ExecutionResult`.
+    ``jitters`` is the 5-tuple ``(server, tx, rx, rtt, power)`` in the
+    scalar draw order.  Only the phone's energy is billed: radio plus
+    platform and idle host CPU for the whole round trip.
+    """
+    platform_mw = device.soc.platform_idle_mw
+    host_idle_mw = device.soc.cpu.idle_power_mw
+    rx_power_mw = link.rx_power_mw
+    radio_idle_mw = link.idle_power_mw
+    tail_mj = link.tail_energy_mj()
+    target_key = target.key
+
+    def finish(remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms,
+               tx_slow, tx_power_mw, accuracy_pct, jitters):
+        (server_jitter, tx_jitter, rx_jitter, rtt_jitter,
+         pwr_jitter) = jitters
+        remote_ms = remote_nominal_ms * server_jitter
+        tx_ms = tx_base_ms * tx_slow * tx_jitter
+        rx_ms = rx_base_ms * tx_slow * rx_jitter
+        rtt_ms = rtt_base_ms * rtt_jitter
+        latency_ms = tx_ms + rtt_ms + remote_ms + rx_ms
+        wait_ms = latency_ms - tx_ms - rx_ms
+        if wait_ms < -1e-9:
+            raise ConfigError(
+                f"total latency {latency_ms} ms shorter than transfer "
+                f"time {tx_ms + rx_ms:.3f} ms"
+            )
+        wait_ms = max(0.0, wait_ms)
+        # TransmissionBreakdown.radio_energy_mj's addition order.
+        radio_mj = (tx_power_mw * tx_ms / 1000.0
+                    + rx_power_mw * rx_ms / 1000.0
+                    + radio_idle_mw * wait_ms / 1000.0
+                    + tail_mj)
+        overhead_mj = (platform_mw * latency_ms / 1000.0
+                       + host_idle_mw * latency_ms / 1000.0)
+        return ExecutionResult(
+            latency_ms=latency_ms,
+            energy_mj=radio_mj * pwr_jitter + overhead_mj,
+            estimated_energy_mj=radio_mj + overhead_mj,
+            accuracy_pct=accuracy_pct,
+            target_key=target_key,
+            detail={
+                "tx_ms": tx_ms,
+                "rx_ms": rx_ms,
+                "rtt_ms": rtt_ms,
+                "remote_ms": remote_ms,
+                "radio_mj": radio_mj,
+            },
+        )
+
+    return finish
 
 
 def local_execution(device, network, target, load, interference,
                     accuracy_table, rng=None, noise=NoiseConfig()):
-    """Run an inference entirely on one of the device's processors."""
+    """Run an inference entirely on one of the device's processors.
+
+    The layer-walk reference: computes the nominal latency with a full
+    per-layer walk, then finishes through :func:`local_finisher`.
+    """
     if target.location is not Location.LOCAL:
         raise ConfigError(f"{target} is not a local target")
     proc = device.soc.processor(target.role)
@@ -172,58 +257,12 @@ def local_execution(device, network, target, load, interference,
     nominal_ms = proc.network_latency_ms(
         network, target.precision, target.vf_index, slowdown
     )
-    # Draw order (the batched path's contract): latency, then power.
-    lat_jitter = _jitter(rng, noise.latency_sigma)
-    pwr_jitter = _jitter(rng, noise.power_sigma)
-    return finish_local_execution(
-        device, proc, network, target, load, accuracy_table,
-        nominal_ms, slowdown, lat_jitter, pwr_jitter,
-    )
-
-
-def finish_remote_execution(device, network, target, link, rssi_dbm,
-                            accuracy_table, remote_nominal_ms, tx_base_ms,
-                            rx_base_ms, rtt_base_ms, tx_slow, jitters):
-    """Complete a remote execution from its nominal components + jitters.
-
-    Shared bit-exact arithmetic for the scalar and batched paths (see
-    :func:`finish_local_execution`).  ``jitters`` is the 5-tuple
-    ``(server, tx, rx, rtt, power)`` in the scalar draw order; the
-    ``*_base_ms`` values are the load- and noise-free link/remote
-    nominals the scalar path computes inline.
-    """
-    server_jitter, tx_jitter, rx_jitter, rtt_jitter, pwr_jitter = jitters
-    remote_ms = remote_nominal_ms * server_jitter
-    tx_ms = tx_base_ms * tx_slow * tx_jitter
-    rx_ms = rx_base_ms * tx_slow * rx_jitter
-    rtt_ms = rtt_base_ms * rtt_jitter
-    latency_ms = tx_ms + rtt_ms + remote_ms + rx_ms
-
-    radio = transmission_energy_mj(
-        link, rssi_dbm, network.input_bytes, network.output_bytes,
-        latency_ms, tx_ms=tx_ms, rx_ms=rx_ms,
-    )
-    overhead_mj = platform_energy_mj(
-        device.soc.platform_idle_mw, latency_ms
-    ) + device.soc.cpu.idle_power_mw * latency_ms / 1000.0
-    estimate_mj = radio.radio_energy_mj + overhead_mj
-    truth_mj = (
-        radio.radio_energy_mj * pwr_jitter
-        + overhead_mj
-    )
-    return ExecutionResult(
-        latency_ms=latency_ms,
-        energy_mj=truth_mj,
-        estimated_energy_mj=estimate_mj,
-        accuracy_pct=accuracy_table.lookup(network.name, target.precision),
-        target_key=target.key,
-        detail={
-            "tx_ms": tx_ms,
-            "rx_ms": rx_ms,
-            "rtt_ms": rtt_ms,
-            "remote_ms": remote_ms,
-            "radio_mj": radio.radio_energy_mj,
-        },
+    # Pinned draw order: latency, then power.
+    jitters = (_jitter(rng, noise.latency_sigma),
+               _jitter(rng, noise.power_sigma))
+    return local_finisher(device, proc, target)(
+        nominal_ms, slowdown, load,
+        accuracy_table.lookup(network.name, target.precision), jitters,
     )
 
 
@@ -237,6 +276,9 @@ def remote_execution(device, remote, network, target, link, rssi_dbm,
     accounted, as in the paper's Monsoon-based methodology.  Co-runner
     load on the phone slows the radio path (the network stack runs on the
     contended CPU) when ``load``/``interference`` are provided.
+
+    The layer-walk reference: computes every nominal from scratch, then
+    finishes through :func:`remote_finisher`.
     """
     if not target.is_remote:
         raise ConfigError(f"{target} is not a remote target")
@@ -248,8 +290,7 @@ def remote_execution(device, remote, network, target, link, rssi_dbm,
     tx_base_ms = link.transfer_ms(network.input_bytes, rssi_dbm)
     rx_base_ms = link.transfer_ms(network.output_bytes, rssi_dbm)
     rtt_base_ms = link.effective_rtt_ms(rssi_dbm)
-    # Draw order (the batched path's contract): server, tx, rx, rtt,
-    # power.
+    # Pinned draw order: server, tx, rx, rtt, power.
     jitters = (
         _jitter(rng, noise.server_sigma),
         _jitter(rng, noise.network_sigma),
@@ -257,10 +298,10 @@ def remote_execution(device, remote, network, target, link, rssi_dbm,
         _jitter(rng, noise.network_sigma),
         _jitter(rng, noise.power_sigma),
     )
-    return finish_remote_execution(
-        device, network, target, link, rssi_dbm, accuracy_table,
-        remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms,
-        tx_slow, jitters,
+    return remote_finisher(device, link, target)(
+        remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms, tx_slow,
+        link.tx_power_mw(rssi_dbm),
+        accuracy_table.lookup(network.name, target.precision), jitters,
     )
 
 

@@ -27,7 +27,6 @@ from repro.baselines.static import (
 )
 from repro.common import make_rng
 from repro.core.action import ActionSpace
-from repro.core.batchtrain import BatchTrainer
 from repro.core.engine import AutoScale
 from repro.core.qlearning import QLearningConfig
 from repro.core.transfer import transfer_q_table
@@ -360,11 +359,10 @@ def fig14_convergence(source_device="mi8pro",
 
     # --- train the source device from scratch ---------------------------
     source = scratch_engine(source_device)
-    source_trainer = BatchTrainer(source)
     scratch_curves = {}
     convergence = {}
     for use_case in use_cases:
-        steps = source_trainer.run(use_case, train_runs)
+        steps = source.run(use_case, train_runs)
         rewards = [step.reward for step in steps if not step.explored]
         scratch_curves[use_case.name] = rewards
         convergence[(source_device, "scratch", use_case.name)] = \
@@ -380,12 +378,11 @@ def fig14_convergence(source_device="mi8pro",
     for offset, device_name in enumerate(transfer_devices, start=1):
         for mode in ("scratch", "transfer"):
             engine = scratch_engine(device_name, offset * 10)
-            trainer = BatchTrainer(engine)
             if mode == "transfer":
                 transfer_q_table(source.qtable, source.action_space,
                                  engine.qtable, engine.action_space)
             for use_case in use_cases:
-                steps = trainer.run(use_case, train_runs)
+                steps = engine.run(use_case, train_runs)
                 rewards = [step.reward for step in steps
                            if not step.explored]
                 convergence[(device_name, mode, use_case.name)] = \

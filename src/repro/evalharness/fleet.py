@@ -22,7 +22,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.baselines.oracle import OptOracle
-from repro.core.batchtrain import BatchTrainer
 from repro.core.convergence import episodes_to_converge
 from repro.core.engine import AutoScale
 from repro.core.transfer import map_actions, transfer_q_table
@@ -36,9 +35,8 @@ from repro.models.zoo import build_network
 __all__ = ["fleet_transfer_study"]
 
 
-def _convergence_episodes(engine, use_case, runs, trainer=None):
-    driver = trainer if trainer is not None else engine
-    steps = driver.run(use_case, runs)
+def _convergence_episodes(engine, use_case, runs):
+    steps = engine.run(use_case, runs)
     rewards = [step.reward for step in steps if not step.explored]
     return episodes_to_converge(rewards)
 
@@ -78,7 +76,7 @@ def fleet_transfer_study(donor_device="mi8pro",
                          fleet_devices=("galaxy_s10e", "moto_x_force"),
                          network_names=("mobilenet_v3", "inception_v1",
                                         "resnet_50", "mobilebert"),
-                         train_runs=100, seed=0, batched=True):
+                         train_runs=100, seed=0):
     """Run the full fleet pipeline; returns per-device rows + a table."""
     use_cases = [use_case_for(build_network(name))
                  for name in network_names]
@@ -86,12 +84,8 @@ def fleet_transfer_study(donor_device="mi8pro",
     donor_env = EdgeCloudEnvironment(build_device(donor_device),
                                      scenario="S1", seed=seed)
     donor = AutoScale(donor_env, seed=seed)
-    donor_trainer = BatchTrainer(donor) if batched else None
     for use_case in use_cases:
-        if donor_trainer is not None:
-            donor_trainer.run(use_case, train_runs)
-        else:
-            donor.run(use_case, train_runs)
+        donor.run(use_case, train_runs)
 
     rows: List[Dict] = []
     for offset, device_name in enumerate(fleet_devices, start=1):
@@ -101,15 +95,13 @@ def fleet_transfer_study(donor_device="mi8pro",
                                        scenario="S1",
                                        seed=seed + offset)
             engine = AutoScale(env, seed=seed + offset)
-            trainer = BatchTrainer(engine) if batched else None
             seeded = 0
             if mode == "transfer":
                 seeded = transfer_q_table(
                     donor.qtable, donor.action_space,
                     engine.qtable, engine.action_space,
                 )
-            episodes = [_convergence_episodes(engine, case, train_runs,
-                                              trainer=trainer)
+            episodes = [_convergence_episodes(engine, case, train_runs)
                         for case in use_cases]
             quality_pct, gap_pct = _decision_quality(engine, use_cases)
             per_mode[mode] = {

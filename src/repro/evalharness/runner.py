@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 from repro.baselines.oracle import OptOracle
 from repro.common import ConfigError, make_rng
-from repro.core.batchtrain import BatchTrainer
 from repro.core.engine import AutoScale
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.scenarios import build_scenario
@@ -66,55 +65,36 @@ class RunConfig:
 
 
 def train_autoscale(engine, use_cases, scenarios=("S1",),
-                    runs_per_case=40, batched=True):
+                    runs_per_case=40):
     """Train an engine across use cases and Table-IV scenarios.
 
     The engine's environment is switched through each scenario; within a
-    scenario every use case gets ``runs_per_case`` Algorithm-1 cycles.
-
-    ``batched=True`` (the default) drives the episodes through
-    :class:`~repro.core.batchtrain.BatchTrainer` — bit-identical Q-table,
-    visit counts, history, and clock, several times faster.  The scalar
-    path is kept for parity pinning and for configurations the trainer
-    itself falls back on (frozen engines, active fault plans).
+    scenario every use case gets ``runs_per_case`` Algorithm-1 cycles
+    (:meth:`~repro.core.engine.AutoScale.run`).
     """
     env = engine.environment
-    trainer = BatchTrainer(engine) if batched else None
     for scenario_name in scenarios:
         env.scenario = build_scenario(scenario_name) \
             if isinstance(scenario_name, str) else scenario_name
         env.rewind_clock()
         for use_case in use_cases:
-            if trainer is not None:
-                trainer.run(use_case, runs_per_case)
-            else:
-                engine.run(use_case, runs_per_case)
+            engine.run(use_case, runs_per_case)
     return engine
 
 
 def adapt_engine(engine, use_case, max_runs=50,
-                 stop_on_convergence=True, batched=True):
+                 stop_on_convergence=True):
     """Online adaptation on a (possibly unseen) use case.
 
     Stops early once the reward converges unless
     ``stop_on_convergence=False`` — in *dynamic* environments the
     detector converges on the most frequent variance state long before
     the rare states are trained, so those runs must use the full budget.
-
-    ``batched=True`` runs the loop through
-    :class:`~repro.core.batchtrain.BatchTrainer.adapt` (bit-identical,
-    faster); the scalar loop remains for parity pinning.
+    Returns ``convergence.converged_at``.
     """
-    if batched:
-        return BatchTrainer(engine).adapt(
-            use_case, max_runs, stop_on_convergence=stop_on_convergence
-        )
     engine.unfreeze()
     engine.convergence.reset()
-    for _ in range(max_runs):
-        engine.step(use_case)
-        if stop_on_convergence and engine.converged:
-            break
+    engine.run(use_case, max_runs, stop_on_convergence=stop_on_convergence)
     return engine.convergence.converged_at
 
 
@@ -173,7 +153,7 @@ def evaluate_scheduler(environment, scheduler, use_case, eval_runs=30,
 def loo_train_and_evaluate(device_builder, use_cases, test_case,
                            scenarios=("S1",), config=RunConfig(),
                            seed=0, oracle=True, engine_kwargs=None,
-                           environment=None, batched=True):
+                           environment=None):
     """The paper's leave-one-out protocol for one held-out use case.
 
     Trains a fresh engine on every use case *except* ``test_case`` across
@@ -200,8 +180,7 @@ def loo_train_and_evaluate(device_builder, use_cases, test_case,
         env.scenario = scenarios[0]
         env.reset(seed=seed)
     engine = AutoScale(env, seed=seed, **(engine_kwargs or {}))
-    train_autoscale(engine, training_cases, scenarios,
-                    config.train_runs, batched=batched)
+    train_autoscale(engine, training_cases, scenarios, config.train_runs)
     opt = OptOracle() if oracle else None
     results = {}
     for scenario_name in scenarios:
@@ -210,7 +189,6 @@ def loo_train_and_evaluate(device_builder, use_cases, test_case,
         adapt_engine(
             engine, test_case, config.adapt_budget(env.scenario),
             stop_on_convergence=not env.scenario.dynamic,
-            batched=batched,
         )
         results[scenario_name] = evaluate_autoscale(
             engine, test_case, config.eval_runs, oracle=opt,

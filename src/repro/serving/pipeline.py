@@ -26,8 +26,8 @@ feasibility floors are gathered once per distinct network from the
 drain-start observation (one ``estimate_all`` sweep each), per-request
 shed checks collapse to two float compares, frozen-table selections for
 every coalescing group go through one batched argmax pass
-(:meth:`~repro.core.engine.AutoScale.select_action_batch`), and
-execution routes through the cached-nominal executor.  Everything
+(:meth:`~repro.core.engine.AutoScale.select_action_batch`), and each
+request completes with its network's pre-encoded state.  Everything
 observable — trace rows, Q-table bytes, shed ledgers, RNG streams, the
 virtual clock — is bit-identical to the **scalar** drain, which remains
 the reference implementation (and the only one used under dynamic
@@ -502,9 +502,10 @@ class ServingPipeline:
           guard, whose ticks can flip training mid-drain) selection
           stays lazy at each group's first surviving request, preserving
           the exact scalar RNG interleave;
-        - execution routes through the cached-nominal executor
-          (``step_with_action(cached=True)``), bit-identical to the
-          uncached path.
+        - each request completes through
+          :meth:`~repro.core.engine.AutoScale.step_with_action` with the
+          network's pre-encoded state, i.e. the environment's one
+          executor.
 
         Execution, reward, Q update, trace rows, guard feeds, and the
         shed ledger all remain per-request and byte-equal to
@@ -598,7 +599,7 @@ class ServingPipeline:
             action, explored = decisions[key]
             step = step_with_action(
                 use_case, action, observation, explored=explored,
-                cached=True, state=state,
+                state=state,
             )
             record_step(
                 step, use_case, at_ms=clock.now_ms,

@@ -132,10 +132,11 @@ class EventKernel:
 
         The clock movement is one ``Stopwatch.advance`` call — the exact
         float arithmetic of the pre-kernel sweeps — so timestamps are
-        bit-identical whether or not events fire along the way.
+        bit-identical whether or not events fire along the way.  Every
+        execution ends here, so the idle-timeline check is inlined.
         """
         self.clock.advance(delta_ms)
-        return self.fire_due()
+        return self.fire_due() if self._heap else []
 
     def advance_to(self, at_ms):
         """Advance the clock to ``at_ms`` if it is in the future.

@@ -49,6 +49,7 @@ class TestFlowZeroBaseline:
                        for violation in report.violations)
         assert found == [
             ("RL102", "AutoScale._complete_step:time.perf_counter"),
+            ("RL102", "AutoScale._train:time.perf_counter"),
             ("RL102", "AutoScale.select_action:time.perf_counter"),
             ("RL102", "AutoScale.select_action_batch:time.perf_counter"),
         ], "\n" + report.format()

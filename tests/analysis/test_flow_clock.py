@@ -32,6 +32,22 @@ class TestUnapprovedWrites:
         )})
         assert names == ["sneak:clock.advance"]
 
+    def test_bound_method_alias_flagged(self):
+        names = _names({"repro.core.fake": (
+            "def train(env):\n"
+            "    clock_advance = env.clock.advance\n"
+            "    clock_advance(1.0)\n"
+        )})
+        assert names == ["train:clock.advance"]
+
+    def test_bound_method_of_clock_alias_flagged(self):
+        names = _names({"repro.env.fake": (
+            "def rewind_later(env, schedule):\n"
+            "    clock = env.clock\n"
+            "    schedule(callback=clock.reset)\n"
+        )})
+        assert names == ["rewind_later:clock.reset"]
+
     def test_local_stopwatch_write_flagged(self):
         names = _names({"repro.baselines.fake": (
             "from repro.common import Stopwatch\n"

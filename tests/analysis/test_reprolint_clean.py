@@ -98,15 +98,6 @@ def test_serving_package_enters_with_zero_allowlist_entries():
     assert not report.suppressed
 
 
-def test_batchtrain_enters_with_zero_allowlist_entries():
-    """The vectorized training engine is likewise born clean: the
-    module passes every rule with the allowlist disabled."""
-    report = lint_paths([SRC / "core" / "batchtrain.py"], allowlist=False)
-    assert report.files_checked == 1
-    assert report.ok, "\n" + report.format()
-    assert not report.suppressed
-
-
 def test_flow_package_enters_with_zero_allowlist_entries():
     """The flow analyzer holds itself to its own bar: every module of
     repro.analysis.flow passes every per-file rule with the allowlist
