@@ -20,14 +20,12 @@ simulator's fidelity rests on from silently rotting.
   positive latency, bounded utilization and RSSI, finite Q-values —
   active by default under pytest.
 
-See ``docs/static_analysis.md`` for the rule catalogue with examples.
+Only the contracts are re-exported here: runtime modules import them, so
+``import repro.analysis`` must not load the linter.  Import the linter's
+API from its submodules.  See ``docs/static_analysis.md`` for the rule
+catalogue with examples.
 """
 
-from repro.analysis.allowlist import (
-    DEFAULT_ALLOWLIST_PATH,
-    Allowlist,
-    load_allowlist,
-)
 from repro.analysis.contracts import (
     checked,
     contracts_enabled,
@@ -40,30 +38,8 @@ from repro.analysis.contracts import (
     ensure_rssi_dbm,
     ensure_utilization,
 )
-from repro.analysis.flow import (
-    APPROVED_CLOCK_FUNNELS,
-    DEFAULT_BASELINE_PATH,
-    FlowBaseline,
-    FlowReport,
-    PACKAGE_LAYERS,
-    Project,
-    analyze_paths,
-    analyze_project,
-    load_baseline,
-)
-from repro.analysis.rules import RULES, Rule
-from repro.analysis.runner import (
-    LintReport,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.violations import Violation
 
 __all__ = [
-    "DEFAULT_ALLOWLIST_PATH",
-    "Allowlist",
-    "load_allowlist",
     "checked",
     "contracts_enabled",
     "ensure_duration_ms",
@@ -74,20 +50,4 @@ __all__ = [
     "ensure_q_value",
     "ensure_rssi_dbm",
     "ensure_utilization",
-    "APPROVED_CLOCK_FUNNELS",
-    "DEFAULT_BASELINE_PATH",
-    "FlowBaseline",
-    "FlowReport",
-    "PACKAGE_LAYERS",
-    "Project",
-    "analyze_paths",
-    "analyze_project",
-    "load_baseline",
-    "RULES",
-    "Rule",
-    "LintReport",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "Violation",
 ]

@@ -7,7 +7,8 @@ runtime".  We implement:
 
 - :class:`GaussianProcess` — exact GP regression with an RBF kernel and a
   noise term, via Cholesky factorization (numpy only);
-- :func:`expected_improvement` — the classic EI formula;
+- :func:`expected_improvement` — the classic EI formula, with the
+  standard normal :func:`normal_cdf`/:func:`normal_pdf` from ``math.erfc``;
 - :class:`BayesianOptScheduler` — an offline BO campaign that samples the
   design space (random warm-up, then EI-guided), fits GP surrogates over
   (context, action) features for log-energy and log-latency, and at
@@ -16,8 +17,9 @@ runtime".  We implement:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import norm
 
 from repro.baselines.base import Scheduler
 from repro.baselines.features import (
@@ -26,7 +28,13 @@ from repro.baselines.features import (
 )
 from repro.common import ConfigError, make_rng
 
-__all__ = ["GaussianProcess", "expected_improvement", "BayesianOptScheduler"]
+__all__ = ["GaussianProcess", "normal_cdf", "normal_pdf",
+           "expected_improvement", "BayesianOptScheduler"]
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: ``math.erfc`` over arrays (numpy has no erfc of its own).
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class GaussianProcess:
@@ -74,13 +82,28 @@ class GaussianProcess:
         return mean, np.sqrt(np.clip(var, 1e-12, None))
 
 
+def normal_cdf(z):
+    """Standard normal CDF, ``0.5 * erfc(-z / sqrt(2))``.
+
+    The erfc form keeps full relative precision in the lower tail, where
+    ``0.5 * (1 + erf(z / sqrt(2)))`` cancels to zero.
+    """
+    return 0.5 * _erfc(-np.asarray(z, dtype=float) / _SQRT2)
+
+
+def normal_pdf(z):
+    """Standard normal density, ``exp(-z**2 / 2) / sqrt(2 * pi)``."""
+    z = np.asarray(z, dtype=float)
+    return np.exp(-z ** 2 / 2.0) / _SQRT_2PI
+
+
 def expected_improvement(mean, std, best, minimize=True):
     """EI of candidate points against the incumbent ``best``."""
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     improvement = (best - mean) if minimize else (mean - best)
     z = improvement / np.maximum(std, 1e-12)
-    ei = improvement * norm.cdf(z) + std * norm.pdf(z)
+    ei = improvement * normal_cdf(z) + std * normal_pdf(z)
     return np.where(std > 1e-12, ei, np.maximum(improvement, 0.0))
 
 

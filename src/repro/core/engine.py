@@ -34,7 +34,7 @@ __all__ = ["AutoScaleStep", "BoundedHistory", "OverheadStats",
            "StreamingSeries", "AutoScale"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AutoScaleStep:
     """Everything produced by one observe-select-execute-update cycle.
 

@@ -36,7 +36,7 @@ __all__ = ["TraceRecord", "TraceRecorder", "load_trace"]
 _STATUSES = ("ok", "failed", "degraded", "shed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One inference, flattened for persistence.
 

@@ -15,7 +15,7 @@ from repro.common import ConfigError, ppw_from_energy
 __all__ = ["ExecutionResult"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """The measured outcome of one inference execution.
 

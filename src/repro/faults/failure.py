@@ -42,7 +42,7 @@ class FaultKind(enum.Enum):
     TIMEOUT = "timeout"            # aborted by the deadline policy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailedAttempt:
     """The bill for a remote attempt that produced no result.
 

@@ -123,7 +123,7 @@ class ServingConfig:
         return cls(brownout=BrownoutConfig.disabled())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServedRequest:
     """One arrival's final outcome as the pipeline saw it.
 

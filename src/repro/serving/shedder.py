@@ -46,7 +46,7 @@ class ShedReason(enum.Enum):
     INFEASIBLE = "infeasible"    # no allowed target can finish in time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SheddedRequest:
     """The outcome of a request the pipeline declined to execute.
 

@@ -13,7 +13,8 @@ still fails.
 
 from pathlib import Path
 
-from repro.analysis import analyze_paths, lint_paths
+from repro.analysis.flow import analyze_paths
+from repro.analysis.runner import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"

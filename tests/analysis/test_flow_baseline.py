@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import FlowBaseline, Project, analyze_project
+from repro.analysis.flow import FlowBaseline, Project, analyze_project
 from repro.analysis.flow.baseline import format_baseline, load_baseline
 from repro.analysis.flow.units import check_units
 from repro.common import ConfigError

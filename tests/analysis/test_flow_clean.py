@@ -9,7 +9,7 @@ and exercise the CLI surface CI calls.
 import json
 from pathlib import Path
 
-from repro.analysis import FlowBaseline, analyze_paths, load_baseline
+from repro.analysis.flow import FlowBaseline, analyze_paths, load_baseline
 from repro.analysis.cli import main
 from repro.analysis.flow.report import to_json, to_sarif
 

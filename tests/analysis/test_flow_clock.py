@@ -1,6 +1,6 @@
 """Tests for RL103 — virtual-clock write funnels."""
 
-from repro.analysis import APPROVED_CLOCK_FUNNELS, Project
+from repro.analysis.flow import APPROVED_CLOCK_FUNNELS, Project
 from repro.analysis.flow.clockrule import check_clock_writes
 
 

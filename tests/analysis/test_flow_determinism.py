@@ -1,6 +1,6 @@
 """Tests for RL102 — determinism taint into the simulation core."""
 
-from repro.analysis import Project
+from repro.analysis.flow import Project
 from repro.analysis.flow.determinism import check_determinism
 
 

@@ -1,6 +1,6 @@
 """Tests for RL104 — architecture layer contracts."""
 
-from repro.analysis import PACKAGE_LAYERS, Project
+from repro.analysis.flow import PACKAGE_LAYERS, Project
 from repro.analysis.flow.layers import check_layers
 
 

@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from repro.analysis import Project
+from repro.analysis.flow import Project
 from repro.common import ConfigError
 
 

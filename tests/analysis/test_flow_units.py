@@ -1,6 +1,6 @@
 """Tests for RL101 — cross-module unit propagation."""
 
-from repro.analysis import Project
+from repro.analysis.flow import Project
 from repro.analysis.flow.units import check_units, infer_name_unit
 
 

@@ -6,7 +6,8 @@ entry; this test is what keeps the discipline from regressing.
 
 from pathlib import Path
 
-from repro.analysis import Allowlist, lint_paths, load_allowlist
+from repro.analysis.allowlist import Allowlist, load_allowlist
+from repro.analysis.runner import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"

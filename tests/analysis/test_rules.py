@@ -3,7 +3,7 @@ snippet and stays quiet on the corrected version of the same snippet."""
 
 import pytest
 
-from repro.analysis import lint_source
+from repro.analysis.runner import lint_source
 from repro.analysis.rules import RULES
 
 

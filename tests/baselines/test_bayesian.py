@@ -1,5 +1,7 @@
 """Tests for the Bayesian-optimization baseline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.baselines.bayesian import (
     BayesianOptScheduler,
     GaussianProcess,
     expected_improvement,
+    normal_cdf,
+    normal_pdf,
 )
 from repro.common import ConfigError, make_rng
 from repro.env.qos import use_case_for
@@ -44,11 +48,55 @@ class TestGaussianProcess:
             GaussianProcess(length_scale=0.0)
 
 
+class TestNormalDistribution:
+    def test_cdf_is_half_at_zero(self):
+        assert normal_cdf(0.0) == 0.5
+
+    def test_cdf_is_symmetric(self):
+        z = np.linspace(-8.0, 8.0, 161)
+        assert np.allclose(normal_cdf(z) + normal_cdf(-z), 1.0,
+                           rtol=0.0, atol=4 * np.finfo(float).eps)
+
+    def test_pdf_peak(self):
+        assert normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
+                                                rel=1e-15)
+
+    def test_lower_tail_keeps_relative_precision(self):
+        # 1 - Phi(38) would cancel to zero; the erfc form does not.
+        assert 0.0 < normal_cdf(-37.0) < 1e-298
+
+    def test_matches_scipy(self):
+        """Parity with ``scipy.stats.norm`` on z in [-38, 8].
+
+        Both evaluate erfc at the rounded ``z / sqrt(2)``, and the lower
+        tail amplifies that one rounding by ~z**2 (Phi's condition
+        number), so parity is a few ulp times ``max(1, z**2)``.  Below
+        the smallest normal double the two agree to within it.
+        """
+        norm = pytest.importorskip("scipy.stats").norm
+        z = np.concatenate([np.linspace(-38.0, 8.0, 46_001),
+                            [-37.5, -20.0, -1e-300, 0.0, 1e-300]])
+        ours, theirs = normal_cdf(z), norm.cdf(z)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        normal = theirs >= tiny
+        rel = np.abs(ours - theirs)[normal] / theirs[normal]
+        assert (rel <= 4 * eps * np.maximum(1.0, z[normal] ** 2)).all()
+        assert (np.abs(ours - theirs)[~normal] <= tiny).all()
+        assert (normal_pdf(z) == norm.pdf(z)).all()
+
+
 class TestExpectedImprovement:
     def test_zero_when_certain_and_worse(self):
         ei = expected_improvement(np.array([5.0]), np.array([0.0]),
                                   best=1.0)
         assert ei[0] == 0.0
+
+    def test_degenerate_std_is_plain_improvement(self):
+        # std <= 1e-12 bypasses Phi/phi: EI is max(improvement, 0).
+        ei = expected_improvement(np.array([0.5, 2.0, 0.5, 0.5]),
+                                  np.array([1e-12, 1e-12, 0.0, 1e-13]),
+                                  best=1.0)
+        assert ei.tolist() == [0.5, 0.0, 0.5, 0.5]
 
     def test_positive_when_certain_and_better(self):
         ei = expected_improvement(np.array([0.5]), np.array([0.0]),
