@@ -501,7 +501,7 @@ class AutoScale:
 
         ``state``, when given, must be the caller's already-computed
         ``observe_state(use_case.network, observation)`` — encoding is
-        deterministic, so passing it skips a redundant layer walk
+        deterministic, so passing it skips a redundant encode
         without changing any observable.  The vectorized drain encodes
         once per network and feeds that here for every coalesced
         request.

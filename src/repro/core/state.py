@@ -14,8 +14,8 @@ data; ``repro.core.discretize`` reimplements that derivation, and
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Tuple
 
 from repro.common import ConfigError, UnknownKeyError
 
@@ -38,6 +38,9 @@ class StateFeature:
         edge_belongs_low: boundary values fall in the *lower* bin instead
             — Table I's RSSI features are "regular (> -80), weak
             (<= -80)", so -80 itself is weak.
+        locate: derived, not passed — ``bisect_left`` when
+            ``edge_belongs_low`` else ``bisect_right``; the one bin rule
+            :meth:`discretize` and ``StateSpace.encode`` share.
     """
 
     name: str
@@ -45,6 +48,8 @@ class StateFeature:
     labels: Tuple[str, ...]
     zero_bin: bool = False
     edge_belongs_low: bool = False
+    locate: Callable[..., int] = field(init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         edges = tuple(self.edges)
@@ -60,6 +65,9 @@ class StateFeature:
             )
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "locate",
+                           bisect.bisect_left if self.edge_belongs_low
+                           else bisect.bisect_right)
 
     @property
     def num_bins(self):
@@ -67,13 +75,11 @@ class StateFeature:
 
     def discretize(self, value):
         """Map a raw value to its bin index."""
-        locate = (bisect.bisect_left if self.edge_belongs_low
-                  else bisect.bisect_right)
         if self.zero_bin:
             if value == 0:
                 return 0
-            return 1 + locate(self.edges, value)
-        return locate(self.edges, value)
+            return 1 + self.locate(self.edges, value)
+        return self.locate(self.edges, value)
 
     def label_of(self, value):
         """The human-readable bin label for a raw value."""
@@ -91,6 +97,11 @@ class StateSpace:
         if len(set(names)) != len(names):
             raise ConfigError("duplicate feature names")
         self._radices = tuple(f.num_bins for f in self.features)
+        # encode's per-feature constants: (locator, edges, zero_bin, radix).
+        self._encode_plan = tuple(
+            (f.locate, f.edges, f.zero_bin, f.num_bins)
+            for f in self.features
+        )
 
     @property
     def size(self):
@@ -135,7 +146,13 @@ class StateSpace:
 
         Raw values follow the Table-I feature order: S_CONV, S_FC, S_RC,
         S_MAC, S_Co_CPU, S_Co_MEM, S_RSSI_W, S_RSSI_P.  Utilizations are
-        converted to percent, MACs to millions.
+        converted to percent, MACs to millions.  The four network
+        features are the network's cached Table-III statistics, so no
+        layer list is walked here.
+
+        Equal to ``index_of(discretize(raw))``, with binning and the
+        mixed-radix flattening fused into one loop over the precomputed
+        per-feature plan.
         """
         raw = (
             network.num_conv,
@@ -147,7 +164,21 @@ class StateSpace:
             observation.rssi_wlan_dbm,
             observation.rssi_p2p_dbm,
         )
-        return self.index_of(self.discretize(raw))
+        plan = self._encode_plan
+        if len(plan) != len(raw):
+            raise ConfigError(
+                f"expected {len(plan)} values, got {len(raw)}"
+            )
+        index = 0
+        for (locate, edges, zero_bin, radix), value in zip(plan, raw):
+            if zero_bin:
+                bin_index = 0 if value == 0 else 1 + locate(edges, value)
+            else:
+                bin_index = locate(edges, value)
+            if bin_index >= radix:
+                raise ConfigError(f"bin {bin_index} outside [0, {radix})")
+            index = index * radix + bin_index
+        return index
 
     def describe(self, network, observation):
         """Human-readable per-feature labels (for logging/debugging)."""

@@ -181,9 +181,14 @@ class EdgeCloudEnvironment:
     @noise.setter
     def noise(self, noise):
         self._noise = noise
-        # Indexed by ``target.is_remote``.
+        # Indexed by ``target.is_remote``: the slots, and how many of
+        # them draw (the non-``None`` ones).
         self._jitter_slots = (jitter_slots(noise, False),
                               jitter_slots(noise, True))
+        self._jitter_draws = tuple(
+            sum(sigma is not None for sigma in slots)
+            for slots in self._jitter_slots
+        )
 
     @property
     def faults_active(self):
@@ -294,8 +299,9 @@ class EdgeCloudEnvironment:
 
         The nominal components (latency, link transfer times) come from
         the cost engine's exact value-keyed caches; the jitters are
-        drawn in the pinned scalar slot order
-        (:func:`~repro.env.executor.jitter_slots`) and the target's
+        drawn in the pinned slot order
+        (:func:`~repro.env.executor.jitter_slots`), all in one
+        ``standard_normal(k)`` call, and the target's
         finisher applies eq. (1)-(4).  The result is bit-identical to
         the layer-walk reference (``local_execution``/
         ``remote_execution``) with the same RNG.
@@ -312,10 +318,16 @@ class EdgeCloudEnvironment:
         finish, args = self._cost_engine.finishing_inputs(network, target,
                                                           observation)
         remote = target.location is not Location.LOCAL
-        standard_normal = self.rng.standard_normal
+        # One vector draw: the Generator fills it with the same
+        # sequential ziggurat draws as k scalar calls.  The exp stays
+        # math.exp per element; np.exp may differ from libm in the last
+        # bit.
+        draws = iter(
+            self.rng.standard_normal(self._jitter_draws[remote]).tolist()
+        )
         exp = math.exp
         result = finish(*args, [
-            exp(sigma * standard_normal()) if sigma is not None else 1.0
+            exp(sigma * next(draws)) if sigma is not None else 1.0
             for sigma in self._jitter_slots[remote]
         ])
         injector = self._fault_injector

@@ -14,7 +14,8 @@ workloads can vary over virtual time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Tuple
 
 from repro.common import ConfigError, clamp
 
@@ -88,7 +89,7 @@ class TraceCoRunner:
         if self.jitter < 0:
             raise ConfigError(f"{self.name}: negative jitter")
 
-    @property
+    @cached_property
     def period_ms(self):
         return sum(duration for duration, _, _ in self.phases)
 

@@ -9,8 +9,9 @@ number of CONV/FC/RC layers and the total MAC count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 from repro.common import ConfigError
 from repro.models.layers import Layer, LayerType
@@ -74,20 +75,24 @@ class NeuralNetwork:
     # ------------------------------------------------------------------
     # Table-III style summary statistics (AutoScale state features)
     # ------------------------------------------------------------------
+    # The layer list is immutable, so each statistic is one layer walk
+    # per network: ``cached_property`` stores it in the instance dict
+    # (the dataclass is frozen but not slotted), leaving equality,
+    # hashing and ``dataclasses.replace`` to the fields alone.
 
     def count(self, kind):
         """Number of layers of the given :class:`LayerType`."""
         return sum(1 for layer in self.layers if layer.kind is kind)
 
-    @property
+    @cached_property
     def num_conv(self):
         return self.count(LayerType.CONV)
 
-    @property
+    @cached_property
     def num_fc(self):
         return self.count(LayerType.FC)
 
-    @property
+    @cached_property
     def num_rc(self):
         return self.count(LayerType.RC)
 
@@ -96,12 +101,12 @@ class NeuralNetwork:
         """The (CONV, FC, RC) counts as a :class:`LayerComposition`."""
         return LayerComposition(self.num_conv, self.num_fc, self.num_rc)
 
-    @property
+    @cached_property
     def total_macs(self):
         """Total multiply-accumulate operations for one inference."""
         return sum(layer.macs for layer in self.layers)
 
-    @property
+    @cached_property
     def mega_macs(self):
         """Total MACs in millions — the unit of the S_MAC state feature."""
         return self.total_macs / 1e6

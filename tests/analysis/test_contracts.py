@@ -89,7 +89,8 @@ class TestValidators:
 
 
 class TestEnabledGate:
-    def test_enabled_by_default_under_pytest(self):
+    def test_enabled_by_default_under_pytest(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
         # PYTEST_CURRENT_TEST is set while this test runs.
         assert contracts_enabled()
 
@@ -110,7 +111,9 @@ class TestEnabledGate:
 
 
 class TestCheckedDecorator:
-    def test_validates_positional_keyword_and_default_arguments(self):
+    def test_validates_positional_keyword_and_default_arguments(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+
         @checked(power_mw=ensure_power_mw, busy_ms=ensure_duration_ms)
         def energy(power_mw, busy_ms=1.0):
             return power_mw * busy_ms / 1000.0
@@ -123,7 +126,9 @@ class TestCheckedDecorator:
         with pytest.raises(ConfigError):  # default busy_ms also validated
             energy(math.nan)
 
-    def test_return_contract(self):
+    def test_return_contract(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+
         @checked(_returns=ensure_energy_mj)
         def broken():
             return -1.0
@@ -131,7 +136,9 @@ class TestCheckedDecorator:
         with pytest.raises(ConfigError):
             broken()
 
-    def test_error_names_the_offending_parameter(self):
+    def test_error_names_the_offending_parameter(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+
         @checked(rssi_dbm=ensure_rssi_dbm)
         def f(rssi_dbm):
             return rssi_dbm
@@ -181,7 +188,9 @@ class TestWiredBoundaries:
                             estimated_energy_mj=1.0, accuracy_pct=70.0,
                             target_key="cpu")
 
-    def test_power_model_rejects_negative_duration(self):
+    def test_power_model_rejects_negative_duration(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+
         from repro.hardware.devices import build_device
         from repro.hardware.power import busy_idle_energy_mj
 
@@ -191,7 +200,9 @@ class TestWiredBoundaries:
         with pytest.raises(ConfigError):
             busy_idle_energy_mj(processor, busy_ms=math.nan)
 
-    def test_transmission_energy_rejects_out_of_window_rssi(self):
+    def test_transmission_energy_rejects_out_of_window_rssi(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+
         from repro.wireless.energy import transmission_energy_mj
         from repro.wireless.profiles import default_wifi
 
@@ -203,7 +214,9 @@ class TestWiredBoundaries:
             transmission_energy_mj(link, rssi_dbm=-70.0, tx_bytes=1000,
                                    rx_bytes=100, total_latency_ms=math.nan)
 
-    def test_qtable_update_rejects_nan_reward(self):
+    def test_qtable_update_rejects_nan_reward(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+
         from repro.core.qlearning import QTable
 
         table = QTable(4, 3, seed=0)

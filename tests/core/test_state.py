@@ -1,10 +1,14 @@
 """Tests for the Table-I state space."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.common import ConfigError
 from repro.core.state import StateFeature, StateSpace, table_i_state_space
 from repro.env.observation import Observation
+from repro.models.layers import LayerType
 
 
 @pytest.fixture()
@@ -107,6 +111,59 @@ class TestEncoding:
         for bins in itertools.product(*(range(r) for r in radices)):
             seen.add(space.index_of(bins))
         assert len(seen) == space.size
+
+
+def _raw(network, observation):
+    """The Table-I raw values, from a fresh layer walk."""
+    kinds = [layer.kind for layer in network.layers]
+    return (
+        kinds.count(LayerType.CONV), kinds.count(LayerType.FC),
+        kinds.count(LayerType.RC),
+        sum(layer.macs for layer in network.layers) / 1e6,
+        observation.cpu_util * 100.0, observation.mem_util * 100.0,
+        observation.rssi_wlan_dbm, observation.rssi_p2p_dbm,
+    )
+
+
+#: Utilizations on and off the 0 / 25% / 75% edges; RSSIs on the -80 dBm
+#: edge, one ulp above it, and at the observation window's limits.
+_UTILS = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+_RSSIS = (-120.0, -90.0, -80.0, math.nextafter(-80.0, 0.0), -55.0, -10.0)
+
+
+class TestFusedEncodeParity:
+    """``encode`` folds binning and flattening into one loop; it must
+    agree with the validated two-step ``index_of(discretize(raw))``."""
+
+    def test_every_zoo_network_over_the_boundary_grid(self, space, zoo):
+        for network in zoo.values():
+            for cpu, mem, wlan, p2p in itertools.product(
+                    _UTILS, _UTILS, _RSSIS, _RSSIS):
+                observation = Observation(cpu_util=cpu, mem_util=mem,
+                                          rssi_wlan_dbm=wlan,
+                                          rssi_p2p_dbm=p2p)
+                expected = space.index_of(
+                    space.discretize(_raw(network, observation)))
+                assert space.encode(network, observation) == expected, (
+                    network.name, cpu, mem, wlan, p2p)
+
+    def test_grid_straddles_the_rssi_edge(self, space, zoo):
+        net = zoo["mobilenet_v3"]
+        weak = space.encode(net, Observation(rssi_wlan_dbm=-80.0))
+        regular = space.encode(
+            net, Observation(rssi_wlan_dbm=math.nextafter(-80.0, 0.0)))
+        assert weak != regular
+
+    def test_non_table_i_space_still_raises(self, space, zoo):
+        smaller = space.without("s_rssi_p")
+        with pytest.raises(ConfigError):
+            smaller.encode(zoo["mobilenet_v3"], Observation())
+
+    def test_discretize_and_index_of_check_lengths(self, space):
+        with pytest.raises(ConfigError):
+            space.discretize((1, 2, 3))
+        with pytest.raises(ConfigError):
+            space.index_of((0,) * 7)
 
 
 class TestAblation:

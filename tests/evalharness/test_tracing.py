@@ -136,7 +136,9 @@ class TestResilienceBookkeeping:
         fields.update(overrides)
         return TraceRecord(**fields)
 
-    def test_status_validated(self):
+    def test_status_validated(self, monkeypatch):
+        # TraceRecord's field contracts obey REPRO_CONTRACTS.
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
         with pytest.raises(ConfigError, match="status"):
             self._record(status="exploded")
         with pytest.raises(ConfigError):

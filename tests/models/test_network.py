@@ -1,5 +1,9 @@
 """Tests for the NeuralNetwork descriptor."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.common import ConfigError
@@ -34,6 +38,52 @@ class TestComposition:
 
     def test_mega_macs(self):
         assert _tiny_network().mega_macs == pytest.approx(3.5)
+
+
+class TestCachedStatistics:
+    """The Table-III statistics are computed once per network and cached
+    in the instance; the cache must never outlive the layers it
+    summarizes or leak into equality/hashing."""
+
+    _STATS = ("num_conv", "num_fc", "num_rc", "total_macs", "mega_macs")
+
+    @staticmethod
+    def _walk(network):
+        kinds = [layer.kind for layer in network.layers]
+        macs = sum(layer.macs for layer in network.layers)
+        return (kinds.count(LayerType.CONV), kinds.count(LayerType.FC),
+                kinds.count(LayerType.RC), macs, macs / 1e6)
+
+    def _stats(self, network):
+        return tuple(getattr(network, name) for name in self._STATS)
+
+    def test_cached_values_equal_a_fresh_layer_walk(self, zoo):
+        for network in zoo.values():
+            assert self._stats(network) == self._walk(network)
+            # Second read comes from the cache and is unchanged.
+            assert self._stats(network) == self._walk(network)
+
+    @pytest.mark.parametrize("clone", [
+        lambda net: pickle.loads(pickle.dumps(net)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_round_trip_equal_and_hash_equal(self, zoo, clone):
+        for network in zoo.values():
+            fresh = clone(network)
+            self._stats(network)  # populate the original's cache
+            warm = clone(network)
+            for twin in (fresh, warm):
+                assert twin == network
+                assert hash(twin) == hash(network)
+                assert self._stats(twin) == self._walk(network)
+
+    def test_replace_reports_the_new_layers(self):
+        net = _tiny_network()
+        assert (net.num_conv, net.num_fc) == (2, 1)  # populate the cache
+        smaller = dataclasses.replace(net, layers=net.layers[:1])
+        assert self._stats(smaller) == (1, 0, 0, 1e6, 1.0)
+        assert smaller != net
+        assert self._stats(net) == (2, 1, 0, 3.5e6, 3.5)
 
 
 class TestSplit:
