@@ -277,127 +277,6 @@ class AutoScale:
         )
         return action, explored
 
-    def select_action_batch(self, states, allowed=None, explore=None):
-        """Step 2 for a whole drain batch of heterogeneous states.
-
-        The structure-of-arrays serving plane: value rows for every state
-        are gathered once and a single masked ``argmax`` pass decides the
-        batch (:meth:`QTable.select_actions`).  Epsilon draws are
-        vectorized **in the pinned scalar order** — one uniform per
-        element, drawn from the engine's seeded RNG in one call — with an
-        optimistic rollback: if any element would explore, the
-        bit-generator state is rewound and the batch replays the scalar
-        per-element interleave (uniform, then the exploration integer),
-        so the RNG stream and every ``(action, explored)`` pair are
-        *bit-identical* to calling :meth:`select_action` element-wise.
-
-        Args:
-            states: integer state indices, one per request group.
-            allowed: ``None``, one shared ``(num_actions,)`` mask, or a
-                per-element ``(n, num_actions)`` matrix.  Rows with no
-                True entry follow :meth:`select_action`'s no-mask
-                convention.
-            explore: defaults to ``self.training``, as in
-                :meth:`select_action`.
-
-        Returns:
-            A list of ``(action_index, explored)`` pairs.
-        """
-        state_vector = np.asarray(list(states), dtype=np.intp)
-        count = len(state_vector)
-        if count == 0:
-            return []
-        if explore is None:
-            explore = self.training
-        allowed_rows, effective = self._normalize_masks(allowed, count)
-        started = time.perf_counter()
-        if explore:
-            snapshot = self.rng.bit_generator.state
-            uniforms = self.rng.random(count)
-            if bool((uniforms < self.config.epsilon).any()):
-                # Someone explores: rewind the stream and replay the
-                # scalar interleave so the exploration integers land at
-                # exactly the positions the scalar path would use.
-                self.rng.bit_generator.state = snapshot
-                return [
-                    self.select_action(int(state),
-                                       allowed=allowed_rows[index])
-                    for index, state in enumerate(state_vector)
-                ]
-            # All-exploit: plain argmax row by row, one NumPy pass (the
-            # training-time exploitation rule of select_action).
-            actions = self.qtable.select_actions(state_vector,
-                                                 allowed=effective)
-            decisions = [(int(action), False) for action in actions]
-        else:
-            decisions = self._select_frozen_batch(state_vector,
-                                                  allowed_rows, effective)
-        elapsed_us = (time.perf_counter() - started) * 1e6 / count
-        for _ in range(count):
-            self.overhead.select_us.append(elapsed_us)
-        return decisions
-
-    def _normalize_masks(self, allowed, count):
-        """Split a batch mask into per-row masks + a broadcastable matrix.
-
-        Returns ``(allowed_rows, effective)`` where ``allowed_rows[i]``
-        is the mask :meth:`select_action` would see for element ``i``
-        (``None`` when absent or empty, matching its convention) and
-        ``effective`` is ``None`` or an ``(n, num_actions)`` boolean
-        matrix whose empty rows are widened to all-True for the
-        vectorized passes.
-        """
-        if allowed is None:
-            return [None] * count, None
-        mask = np.asarray(allowed, dtype=bool)
-        num_actions = len(self.action_space)
-        if mask.shape == (num_actions,):
-            if not mask.any():
-                return [None] * count, None
-            return ([mask] * count,
-                    np.broadcast_to(mask, (count, num_actions)))
-        if mask.shape != (count, num_actions):
-            raise ConfigError(
-                f"mask of shape {mask.shape} for {count} states over "
-                f"{num_actions} actions"
-            )
-        rows = [row if row.any() else None for row in mask]
-        if all(row is not None for row in rows):
-            return rows, mask
-        effective = mask.copy()
-        effective[~mask.any(axis=1)] = True
-        return rows, effective
-
-    def _select_frozen_batch(self, state_vector, allowed_rows, effective):
-        """Trained-table selection for a batch (no RNG involved).
-
-        The common case — every state visited, selection restricted to
-        actions with at least one real reward — is one vectorized masked
-        argmax; rows needing the scalar path's fallbacks (never-visited
-        states borrowing from a trained sibling, visited states whose
-        mask excludes every visited action) are fixed up per row with
-        the exact scalar rules.
-        """
-        qtable = self.qtable
-        visited = qtable.visits[state_vector] > 0
-        eligible = (visited if effective is None
-                    else visited & effective)
-        rows = qtable.values[state_vector]
-        masked = np.where(eligible, rows, -np.inf)
-        actions = masked.argmax(axis=1)
-        decisions = [(int(action), False) for action in actions]
-        for index in np.flatnonzero(~eligible.any(axis=1)):
-            state = int(state_vector[index])
-            allowed = allowed_rows[index]
-            if visited[index].any():
-                # Visited state, but the mask excludes every visited
-                # action: best_visited_action's documented fallback.
-                action = qtable.best_action(state, allowed)
-            else:
-                action = self._sibling_fallback(state, allowed)
-            decisions[index] = (int(action), False)
-        return decisions
-
     def _variance_block_size(self):
         """States per network: the product of the trailing runtime-
         variance features' bin counts.
@@ -502,9 +381,8 @@ class AutoScale:
         ``state``, when given, must be the caller's already-computed
         ``observe_state(use_case.network, observation)`` — encoding is
         deterministic, so passing it skips a redundant encode
-        without changing any observable.  The vectorized drain encodes
-        once per network and feeds that here for every coalesced
-        request.
+        without changing any observable.  The serving drain memoizes
+        one state per network and feeds it here for every request.
         """
         if not 0 <= action < len(self.action_space):
             raise ConfigError(

@@ -103,50 +103,6 @@ class QTable:
         values = np.where(allowed, self.values[state], -np.inf)
         return int(np.argmax(values))
 
-    def select_actions(self, states, allowed=None):
-        """Batched :meth:`best_action`: argmax_a Q(state_i, a) for a whole
-        vector of (heterogeneous) states in **one** NumPy pass.
-
-        This is the serving decision plane's structure-of-arrays core: the
-        value rows for every state are gathered at once, the mask is
-        broadcast across them, and a single ``argmax(axis=1)`` decides the
-        whole batch — no per-request Python dispatch.
-
-        Args:
-            states: integer state indices, shape ``(n,)``.
-            allowed: optional boolean action mask — either one shared
-                ``(num_actions,)`` row broadcast over the batch, or a
-                per-state ``(n, num_actions)`` matrix.  Rows with no True
-                entry degenerate to the unmasked argmax, exactly matching
-                :meth:`best_action`'s convention.
-
-        Returns:
-            ``(n,)`` int64 array of action indices, element-wise equal to
-            ``[best_action(s, allowed_row) for s in states]``.
-        """
-        state_vector = np.asarray(states, dtype=np.intp)
-        if state_vector.ndim != 1:
-            raise ConfigError(
-                f"states must be a 1-D index vector, got shape "
-                f"{state_vector.shape}"
-            )
-        rows = self.values[state_vector]
-        if allowed is None:
-            return rows.argmax(axis=1)
-        mask = np.asarray(allowed, dtype=bool)
-        if mask.shape != rows.shape and mask.shape != rows.shape[1:]:
-            raise ConfigError(
-                f"mask of shape {mask.shape} for {len(state_vector)} "
-                f"states over {self.num_actions} actions"
-            )
-        mask = np.broadcast_to(mask, rows.shape)
-        masked = np.where(mask, rows, -np.inf)
-        choices = masked.argmax(axis=1)
-        degenerate = ~mask.any(axis=1)
-        if degenerate.any():
-            choices = np.where(degenerate, rows.argmax(axis=1), choices)
-        return choices
-
     def best_visited_action(self, state, allowed=None):
         """argmax_a Q(state, a) restricted to actions tried in ``state``.
 

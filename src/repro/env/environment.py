@@ -137,8 +137,8 @@ class EdgeCloudEnvironment:
 
         Constant co-runner + constant signals (Table IV's S1-S5) sample
         no RNG values and return identical observations every step, so
-        fast paths (the training loop of ``AutoScale.run``, the
-        vectorized serving drain) can elide repeated observe/encode work
+        fast paths (the training loop of ``AutoScale.run``, the serving
+        drain's per-network memo) can elide repeated observe/encode work
         without touching the RNG stream or any downstream value.
         """
         scenario = self._scenario

@@ -1,4 +1,4 @@
-"""The serving pipeline: admission, shedding, brownout, batched drain.
+"""The serving pipeline: admission, shedding, brownout, one drain.
 
 :class:`ServingPipeline` stands in front of one
 :class:`~repro.core.service.AutoScaleService` and replays an open-loop
@@ -7,8 +7,8 @@ arrival stream on the environment's virtual clock:
 1. Arrivals due at the current virtual time enter the bounded admission
    queue (or are shed ``QUEUE_FULL`` under backpressure), carrying a
    QoS-derived absolute deadline.
-2. Each drain cycle samples **one** observation, lets the brownout
-   controller react to queue depth, and pops a FIFO batch.
+2. Each drain cycle lets the brownout controller react to queue depth,
+   pops a FIFO batch, and takes **one** observation for it.
 3. Per request, the deadline-aware shedder drops work that already
    blew its deadline (``EXPIRED``) or provably cannot make it even on
    the fastest allowed target (``INFEASIBLE``, via the cached nominal
@@ -17,21 +17,19 @@ arrival stream on the environment's virtual clock:
    selects once per group (one Q-table row read) and completes each
    request through :meth:`~repro.core.engine.AutoScale.step_with_action`
    — execution, reward, and Q update remain per-request, so the
-   learning dynamics match the scalar path exactly.
+   learning dynamics match request-at-a-time serving exactly.
 
-The drain itself has two implementations behind one dispatcher.  The
-**vectorized** plane (structure-of-arrays, the default) runs whenever
-the scenario is static and the resilient path is off: states and
-feasibility floors are gathered once per distinct network from the
-drain-start observation (one ``estimate_all`` sweep each), per-request
-shed checks collapse to two float compares, frozen-table selections for
-every coalescing group go through one batched argmax pass
-(:meth:`~repro.core.engine.AutoScale.select_action_batch`), and each
-request completes with its network's pre-encoded state.  Everything
-observable — trace rows, Q-table bytes, shed ledgers, RNG streams, the
-virtual clock — is bit-identical to the **scalar** drain, which remains
-the reference implementation (and the only one used under dynamic
-scenarios or resilience, where re-observation draws RNG per request).
+There is one drain, and it runs per request under every configuration
+(static or dynamic scenario, frozen or training, guard, brownout,
+retries).  What makes it cheap is a memo of the drain-start
+observation and, per network, the encoded state and the feasibility
+floor.  Under a static Table-IV scenario (S1-S5) an observation draws
+no RNG and never changes value, so the memo lives across drains for as
+long as the scenario object and the action mask stay the same; under a
+dynamic scenario it lasts one drain, holds only states, and the floor
+is re-judged per request.  Either way it changes no observable: trace
+rows, Q-table bytes, shed ledgers, RNG streams and the virtual clock
+are what they would be without it.
 
 ``ServingConfig.disabled()`` bypasses all of it and reproduces the
 direct :meth:`~repro.core.service.AutoScaleService.handle` path
@@ -65,7 +63,6 @@ from repro.serving.shedder import (
     ShedStats,
     SheddedRequest,
     min_feasible_latency_ms,
-    shed_verdict,
 )
 
 __all__ = ["ServingConfig", "ServedRequest", "ServingPipeline"]
@@ -85,10 +82,6 @@ class ServingConfig:
             ``queue_capacity`` alone.
         brownout: the degradation controller's watermarks.
         batch_max: cap on requests drained per cycle (``None`` = all).
-        vectorized: use the structure-of-arrays drain whenever it is
-            eligible (static scenario, resilience off).  Bit-identical
-            to the scalar drain in every observable; ``False`` forces
-            the scalar reference implementation.
     """
 
     enabled: bool = True
@@ -97,7 +90,6 @@ class ServingConfig:
     shedding: bool = True
     brownout: BrownoutConfig = BrownoutConfig()
     batch_max: Optional[int] = None
-    vectorized: bool = True
 
     def __post_init__(self):
         if self.batch_max is not None and self.batch_max < 1:
@@ -155,6 +147,18 @@ class ServedRequest:
         return not (self.shed or self.failed)
 
 
+class _NetworkMemo:
+    """One network's drain constants: its encoded state and feasibility
+    floor, each filled on first use (``None`` until then)."""
+
+    __slots__ = ("network", "state", "floor_ms")
+
+    def __init__(self, network):
+        self.network = network
+        self.state = None
+        self.floor_ms = None
+
+
 class ServingPipeline:
     """Drives one service through an open-loop arrival stream."""
 
@@ -170,6 +174,11 @@ class ServingPipeline:
         self.guard = (getattr(service, "guard", None)
                       or PolicyGuard(GuardConfig.disabled()))
         self._guard_handle = None
+        # The drain memo and its tag (see _drain_memo).
+        self._memo_observation = None
+        self._memo = {}
+        self._memo_scenario = None
+        self._memo_mask = None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -221,6 +230,9 @@ class ServingPipeline:
         """
         env = self.service.environment
         kernel = env.kernel
+        # Each serve recomputes its memo from scratch: nothing the
+        # caller changed on the environment between serves can leak in.
+        self._memo_scenario = None
         outcomes: List[ServedRequest] = []
         due: "deque[Arrival]" = deque()
         # Times of arrivals the kernel has not delivered yet; events
@@ -361,22 +373,6 @@ class ServingPipeline:
             tier=self.brownout.tier.value,
         ))
 
-    def _drain_cycle(self, outcomes):
-        """One drain: observe once, shed the hopeless, coalesce the rest.
-
-        Dispatches to the structure-of-arrays sweep when it is provably
-        bit-identical — static scenario (re-observation draws no RNG
-        and never changes a value) and the resilient path off (retries
-        re-observe data-dependently) — and to the scalar reference
-        implementation otherwise.
-        """
-        if (self.config.vectorized
-                and not self.service.resilience.enabled
-                and self.service.environment.scenario_is_static):
-            self._drain_cycle_vectorized(outcomes)
-        else:
-            self._drain_cycle_scalar(outcomes)
-
     def _decision_key(self, use_case, state, shadowing, browned):
         """The drain coalescing key for one request.
 
@@ -390,46 +386,94 @@ class ServingPipeline:
             return (use_case.network.name, state, use_case.name)
         return (use_case.network.name, state)
 
-    def _drain_cycle_scalar(self, outcomes):
-        """The reference drain: per-request observation refresh and
-        feasibility sweeps.  Correct under every configuration."""
+    def _drain_memo(self, env, mask):
+        """The drain-start observation and the per-network memo.
+
+        Both survive from the previous drain only while their tag still
+        holds: the scenario is static and the *same object*, and the
+        combined mask has the same bytes.  Otherwise the environment is
+        observed afresh and the memo starts empty; a dynamic scenario
+        leaves the tag unset, so it observes every drain and its memo
+        lasts exactly one drain and holds states only.
+        """
+        scenario = env.scenario
+        mask_bytes = None if mask is None else mask.tobytes()
+        if (scenario is not self._memo_scenario
+                or mask_bytes != self._memo_mask):
+            self._memo_observation = env.observe()
+            self._memo = {}
+            self._memo_scenario = (scenario if env.scenario_is_static
+                                   else None)
+            self._memo_mask = mask_bytes
+        return self._memo_observation, self._memo
+
+    def _drain_cycle(self, outcomes):
+        """One drain: observe once, shed the hopeless, coalesce the rest.
+
+        Per request, in FIFO order: shed it if its deadline has passed
+        (``EXPIRED``) or the fastest allowed target cannot meet it
+        (``INFEASIBLE``); otherwise select once per coalescing group and
+        complete it through
+        :meth:`~repro.core.engine.AutoScale.step_with_action`.
+
+        The drain-start observation and each network's encoded state
+        and feasibility floor come from the pipeline's memo
+        (:meth:`_drain_memo`).  Under a static scenario a re-observe
+        would change only the observation's timestamp, which execution
+        and the nominal sweeps never read.  The state is the encoding
+        of the drain-start observation, the same for every request of
+        the drain.  The floor is memoized only while the drain-start
+        static scenario is still installed: a kernel ``TIMER`` can swap
+        the scenario mid-drain, and from then on the floor is re-judged
+        per request against a fresh observation whenever the clock has
+        moved, as it would be without the memo.  Timers fire only as
+        the clock advances, so by then it has always moved past every
+        timestamp the memo holds.
+        """
         service = self.service
         env = service.environment
         engine = service.engine
         tier = self.brownout.observe_pressure(self.queue.depth)
         batch = self.queue.take_batch(self.config.batch_max)
-        observation = env.observe()
         mask = self._combined_mask()
         browned = self.brownout.tier is not BrownoutTier.NORMAL
+        observation, memo = self._drain_memo(env, mask)
+        static_scenario = self._memo_scenario
         # One selection per (network, state) group; execution, reward,
         # and Q update stay per-request via step_with_action.
         decisions = {}
-        # The feasibility floor must be judged against *current*
-        # conditions: earlier requests in the batch advance the clock,
-        # so the drain-start observation's load/RSSI go stale.  Track
-        # the freshest sample and re-observe only when time has moved —
-        # a batch of one (the pinned zero-overload path) never
-        # re-observes, so that path stays bit-identical.
+        # The freshest feasibility sample, re-observed only when time
+        # has moved — a batch of one (the pinned zero-overload path)
+        # never re-observes.
         feasibility_obs = observation
+        guard = self.guard
         for request in batch:
             now_ms = env.clock.now_ms
             use_case = request.use_case
+            network = use_case.network
+            entry = memo.get(network.name)
+            if entry is None or entry.network is not network:
+                entry = memo[network.name] = _NetworkMemo(network)
             if self.config.shedding:
                 if request.remaining_ms(now_ms) < 0:
                     self._shed(request, ShedReason.EXPIRED, now_ms,
                                outcomes)
                     continue
-                if feasibility_obs.now_ms != now_ms:
-                    feasibility_obs = env.observe()
-                sweep = env.estimate_all(use_case.network,
-                                         feasibility_obs)
-                floor_ms = min_feasible_latency_ms(sweep, mask)
+                if env.scenario is static_scenario:
+                    if entry.floor_ms is None:
+                        entry.floor_ms = min_feasible_latency_ms(
+                            env.estimate_all(network, observation), mask)
+                    floor_ms = entry.floor_ms
+                else:
+                    if feasibility_obs.now_ms != now_ms:
+                        feasibility_obs = env.observe()
+                    floor_ms = min_feasible_latency_ms(
+                        env.estimate_all(network, feasibility_obs), mask)
                 if now_ms + floor_ms > request.deadline_ms:
                     self._shed(request, ShedReason.INFEASIBLE, now_ms,
                                outcomes)
                     continue
             wait_ms = request.queue_delay_ms(now_ms)
-            guard = self.guard
             shadowing = (guard.enabled
                          and guard.stage.depth >= GuardStage.SHADOW.depth)
             if service.resilience.enabled:
@@ -441,7 +485,9 @@ class ServingPipeline:
                         guard.note_qos(wait_ms + outcome.latency_ms
                                        <= use_case.qos_ms)
             else:
-                state = engine.observe_state(use_case.network, observation)
+                if entry.state is None:
+                    entry.state = engine.observe_state(network, observation)
+                state = entry.state
                 key = self._decision_key(use_case, state, shadowing,
                                          browned)
                 if key not in decisions:
@@ -463,6 +509,7 @@ class ServingPipeline:
                 action, explored = decisions[key]
                 step = engine.step_with_action(
                     use_case, action, observation, explored=explored,
+                    state=state,
                 )
                 service.trace.record_step(
                     step, use_case, at_ms=env.clock.now_ms,
@@ -475,143 +522,6 @@ class ServingPipeline:
             self.shed_stats.note_served()
             outcomes.append(ServedRequest(
                 request.arrival, outcome,
-                queue_delay_ms=wait_ms, tier=tier.value,
-            ))
-
-    def _drain_cycle_vectorized(self, outcomes):
-        """The structure-of-arrays drain: one sweep per network, fused
-        admit→shed→decide over the whole batch.
-
-        Under a static scenario the drain-start observation never goes
-        stale in *value* — re-observation would return the same load and
-        RSSI and draw nothing from the RNG — so the per-request
-        observe/sweep/encode work of the scalar drain collapses into a
-        per-network prepass:
-
-        - one ``estimate_all`` sweep and one feasibility floor per
-          distinct network (the scalar path recomputes both per
-          request);
-        - one encoded state per network;
-        - per-request shed checks reduced to two float compares against
-          the cached floor (:func:`~repro.serving.shedder.shed_verdict`,
-          EXPIRED before INFEASIBLE — the clock still moves mid-batch);
-        - with a frozen engine and no guard, selection is RNG-free, so
-          every coalescing group is decided upfront in one batched
-          argmax pass (:meth:`~repro.core.engine.AutoScale
-          .select_action_batch`); while training (or under an active
-          guard, whose ticks can flip training mid-drain) selection
-          stays lazy at each group's first surviving request, preserving
-          the exact scalar RNG interleave;
-        - each request completes through
-          :meth:`~repro.core.engine.AutoScale.step_with_action` with the
-          network's pre-encoded state, i.e. the environment's one
-          executor.
-
-        Execution, reward, Q update, trace rows, guard feeds, and the
-        shed ledger all remain per-request and byte-equal to
-        :meth:`_drain_cycle_scalar`.
-        """
-        service = self.service
-        env = service.environment
-        engine = service.engine
-        tier = self.brownout.observe_pressure(self.queue.depth)
-        batch = self.queue.take_batch(self.config.batch_max)
-        observation = env.observe()
-        mask = self._combined_mask()
-        browned = self.brownout.tier is not BrownoutTier.NORMAL
-        shedding = self.config.shedding
-        guard = self.guard
-
-        # SoA prepass: states and floors are functions of the constant
-        # observation — gather once per distinct network.
-        states = {}
-        floors = {}
-        for request in batch:
-            network = request.use_case.network
-            if network.name not in states:
-                states[network.name] = engine.observe_state(network,
-                                                            observation)
-                if shedding:
-                    sweep = env.estimate_all(network, observation)
-                    floors[network.name] = min_feasible_latency_ms(
-                        sweep, mask)
-
-        decisions = {}
-        if not engine.training and not guard.enabled and not browned:
-            # Frozen NORMAL tier: selection is RNG-free and nothing can
-            # flip mid-drain (guard ticks are off), so deciding a group
-            # that later sheds every member is unobservable — decide
-            # all groups upfront in one batched pass.
-            group_keys = []
-            for request in batch:
-                use_case = request.use_case
-                key = (use_case.network.name,
-                       states[use_case.network.name])
-                if key not in decisions:
-                    decisions[key] = None
-                    group_keys.append(key)
-            for key, decision in zip(
-                group_keys,
-                engine.select_action_batch(
-                    [key[1] for key in group_keys], allowed=mask),
-            ):
-                decisions[key] = decision
-
-        # Loop invariants, hoisted: the clock object, tier label, and
-        # bound methods are fixed for the drain; the reason code is too
-        # unless a guard is live (its ticks can move the stage between
-        # requests).
-        clock = env.clock
-        tier_label = tier.value
-        guard_enabled = guard.enabled
-        fixed_reason = None if guard_enabled else self._trace_reason()
-        step_with_action = engine.step_with_action
-        record_step = service.trace.record_step
-        note_served = self.shed_stats.note_served
-
-        for request in batch:
-            now_ms = clock.now_ms
-            use_case = request.use_case
-            network_name = use_case.network.name
-            if shedding:
-                verdict = shed_verdict(now_ms, request.deadline_ms,
-                                       floors[network_name])
-                if verdict is not None:
-                    self._shed(request, verdict, now_ms, outcomes)
-                    continue
-            wait_ms = request.queue_delay_ms(now_ms)
-            shadowing = (guard_enabled
-                         and guard.stage.depth >= GuardStage.SHADOW.depth)
-            state = states[network_name]
-            key = self._decision_key(use_case, state, shadowing, browned)
-            if key not in decisions:
-                if shadowing:
-                    decisions[key] = (self._shadow_action(
-                        use_case, observation, mask,
-                        local_only=guard.stage is GuardStage.DEGRADE,
-                    ), False)
-                elif browned:
-                    decisions[key] = (self._brownout_action(
-                        use_case, observation, mask), False)
-                else:
-                    decisions[key] = engine.select_action(state,
-                                                          allowed=mask)
-            action, explored = decisions[key]
-            step = step_with_action(
-                use_case, action, observation, explored=explored,
-                state=state,
-            )
-            record_step(
-                step, use_case, at_ms=clock.now_ms,
-                queue_delay_ms=wait_ms, tier=tier_label,
-                reason=(self._trace_reason() if guard_enabled
-                        else fixed_reason),
-            )
-            if guard_enabled:
-                self._feed_guard(step, use_case, observation, wait_ms)
-            note_served()
-            outcomes.append(ServedRequest(
-                request.arrival, step.result,
                 queue_delay_ms=wait_ms, tier=tier.value,
             ))
 

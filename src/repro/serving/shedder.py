@@ -230,11 +230,10 @@ def shed_verdict(now_ms, deadline_ms, floor_ms):
     """Classify one head-of-queue request against its deadline.
 
     Returns the :class:`ShedReason` the pipeline must apply, or ``None``
-    when the request is servable.  The vectorized drain uses this
-    against its per-network cached floor; the comparisons mirror the
-    scalar drain's inline checks exactly (same inclusive-deadline
-    convention as :class:`DeadlinePolicy`, pinned by the boundary
-    tests).  The order matters: ``EXPIRED`` is checked *before*
+    when the request is servable, given a precomputed floor.  The
+    comparisons mirror the serving drain's inline checks exactly (same
+    inclusive-deadline convention as :class:`DeadlinePolicy`, pinned by
+    the boundary tests).  The order matters: ``EXPIRED`` is checked *before*
     ``INFEASIBLE`` because mid-batch clock movement (earlier requests in
     the same drain executing) can push a request past its deadline
     entirely — it must then report as expired, not merely infeasible.

@@ -1,6 +1,6 @@
-"""CI gate: the vectorized decision plane holds a zero-allowlist bar.
+"""CI gate: the serving decision plane holds a zero-allowlist bar.
 
-The serving package and the core modules the SoA decision plane runs
+The serving package and the core modules the serving drain runs
 through (engine, Q-table, environment) are linted here with the
 allowlist and flow baseline *disabled*: a new finding in any of them
 fails immediately instead of ratcheting into the grandfathered debt.
@@ -52,5 +52,4 @@ class TestFlowZeroBaseline:
             ("RL102", "AutoScale._complete_step:time.perf_counter"),
             ("RL102", "AutoScale._train:time.perf_counter"),
             ("RL102", "AutoScale.select_action:time.perf_counter"),
-            ("RL102", "AutoScale.select_action_batch:time.perf_counter"),
         ], "\n" + report.format()

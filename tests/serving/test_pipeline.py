@@ -22,8 +22,8 @@ from repro.serving.pipeline import ServingConfig, ServingPipeline
 from repro.serving.shedder import DeadlinePolicy
 
 
-def _service(seed, think_time_ms=0.0):
-    env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+def _service(seed, think_time_ms=0.0, scenario="S1"):
+    env = EdgeCloudEnvironment(build_device("mi8pro"), scenario=scenario,
                                seed=seed, think_time_ms=think_time_ms)
     return AutoScaleService(env, seed=seed)
 
@@ -141,27 +141,19 @@ class TestCoalescingParity:
         piped.register(case)
         selections = []
         inner = piped.engine.select_action
-        inner_batch = piped.engine.select_action_batch
 
         def counting(state, explore=None, allowed=None):
             decision = inner(state, explore=explore, allowed=allowed)
             selections.append(decision)
             return decision
 
-        def counting_batch(states, allowed=None, explore=None):
-            decisions = inner_batch(states, allowed=allowed,
-                                    explore=explore)
-            selections.extend(decisions)
-            return decisions
-
         piped.engine.select_action = counting
-        piped.engine.select_action_batch = counting_batch
         config = ServingConfig(queue_capacity=None, shedding=False,
                                brownout=BrownoutConfig.disabled())
         outcomes = ServingPipeline(piped, config).serve(arrivals)
 
-        # Coalescing: ten requests, one Q-table read — whichever drain
-        # implementation ran, exactly one group decision was made.
+        # Coalescing: ten requests, one Q-table read — exactly one
+        # group decision was made.
         assert len(selections) == 1
         assert len(outcomes) == 10
 
@@ -367,14 +359,18 @@ class TestStaleFeasibilityRefresh:
     a batch have advanced the clock, the feasibility check must sample a
     fresh observation instead of reusing load/RSSI from a point that no
     longer exists — while a batch of one (the pinned zero-overload path)
-    never re-observes.
+    never re-observes.  Under a static scenario a fresh observation
+    would equal the old one, so there the drain's memo elides the
+    re-observe and the re-sweep altogether.
     """
 
     def test_batch_of_one_never_reobserves(self, zoo):
-        """Under zero overload the refresh must be provably inert: the
-        enabled pipeline draws exactly as many observations as the
-        direct path (drain sample + the engine's Q-update next-state
-        sample per request), none for feasibility."""
+        """Under zero overload the refresh must be provably inert.
+        Under a dynamic scenario the enabled pipeline draws exactly as
+        many observations as the direct path (drain sample + the
+        engine's Q-update next-state sample per request), none for
+        feasibility; under S1 it also reuses the first drain's sample
+        instead of observing at later drains."""
         case = use_case_for(zoo["mobilenet_v3"])
         arrivals = [Arrival(0.0, case.name),
                     Arrival(50_000.0, case.name)]
@@ -392,19 +388,24 @@ class TestStaleFeasibilityRefresh:
             ServingPipeline(service, config).serve(arrivals)
             return counted
 
-        piped = _service(5)
-        piped.register(case)
-        direct = _service(5)
-        direct.register(case)
-        assert count_observes(piped, ServingConfig()) \
-            == count_observes(direct, ServingConfig.disabled())
+        def both(scenario):
+            piped = _service(5, scenario=scenario)
+            piped.register(case)
+            direct = _service(5, scenario=scenario)
+            direct.register(case)
+            return (count_observes(piped, ServingConfig()),
+                    count_observes(direct, ServingConfig.disabled()))
+
+        piped, direct = both("D2")
+        assert piped == direct
+        piped, direct = both("S1")
+        assert piped == [t for t in direct if t != 50_000.0]
 
     def test_late_batch_requests_use_fresh_observations(self, zoo):
-        """The *scalar* drain must re-observe once the clock moves —
-        it is the reference implementation under dynamic scenarios,
-        where a stale sample would hide load/RSSI changes."""
+        """Under a dynamic scenario the drain must re-observe once the
+        clock moves: a stale sample would hide load/RSSI changes."""
         case = use_case_for(zoo["mobilenet_v3"])
-        service = _service(5)
+        service = _service(5, scenario="D2")
         service.register(case)
         env = service.environment
         feasibility_times = []
@@ -417,46 +418,62 @@ class TestStaleFeasibilityRefresh:
 
         env.estimate_all = tracking
         pipeline = ServingPipeline(service, ServingConfig(
-            brownout=BrownoutConfig.disabled(), vectorized=False))
+            deadline=DeadlinePolicy(qos_factor=20.0),
+            brownout=BrownoutConfig.disabled()))
         pipeline.serve([Arrival(0.0, case.name) for _ in range(6)])
-        executed = [t for t in feasibility_times]
         # The first check uses the drain-start sample; once the clock
         # has moved, later checks must not reuse its timestamp.
-        assert executed[0] == 0.0
-        later = [t for t in executed[1:] if t > 0.0]
+        assert feasibility_times[0] == 0.0
+        later = [t for t in feasibility_times[1:] if t > 0.0]
         assert later, "late-batch feasibility checks never refreshed"
 
     def test_vectorized_drain_sweeps_once_per_network(self, zoo):
-        """The vectorized drain computes one feasibility sweep per
-        distinct network at the drain-start observation — no per-request
-        re-sweeps — while shedding exactly what the scalar drain sheds
-        (value-identical floors under a static scenario)."""
-        case = use_case_for(zoo["mobilenet_v3"])
-        service = _service(5)
-        service.register(case)
-        env = service.environment
-        sweep_times = []
-        inner_estimate_all = env.estimate_all
+        """Under S1 one ``serve`` computes one feasibility sweep per
+        network, at that network's first drain, however many drains
+        follow — while shedding exactly what the request-at-a-time
+        reference sheds.  A second ``serve`` starts a fresh memo."""
+        from tests.serving.test_vectorized_drain import (
+            ScalarReferencePipeline,
+        )
 
-        def tracking(network, observation, use_cache=True):
-            sweep_times.append(observation.now_ms)
-            return inner_estimate_all(network, observation,
-                                      use_cache=use_cache)
+        cases = [use_case_for(zoo["mobilenet_v3"]),
+                 use_case_for(zoo["resnet_50"])]
+        # Four bursts far apart: at least four drains, each mixing both
+        # networks.
+        arrivals = [Arrival(20_000.0 * burst, cases[index % 2].name)
+                    for burst in range(4) for index in range(6)]
+        later = [Arrival(100_000.0 + arrival.at_ms, arrival.name)
+                 for arrival in arrivals]
 
-        env.estimate_all = tracking
-        pipeline = ServingPipeline(service, ServingConfig(
-            brownout=BrownoutConfig.disabled()))
-        outcomes = pipeline.serve(
-            [Arrival(0.0, case.name) for _ in range(6)])
-        # One batch of six, one network: exactly one feasibility sweep,
-        # taken at the drain-start instant.
-        assert sweep_times == [0.0]
+        def serve(pipeline_class, *streams):
+            service = _service(5)
+            for case in cases:
+                service.register(case)
+            env = service.environment
+            sweeps = []
+            inner_estimate_all = env.estimate_all
 
-        twin = _service(5)
-        twin.register(case)
-        reference = ServingPipeline(twin, ServingConfig(
-            brownout=BrownoutConfig.disabled(), vectorized=False,
-        )).serve([Arrival(0.0, case.name) for _ in range(6)])
+            def tracking(network, observation, use_cache=True):
+                sweeps.append((network.name, observation.now_ms))
+                return inner_estimate_all(network, observation,
+                                          use_cache=use_cache)
+
+            env.estimate_all = tracking
+            pipeline = pipeline_class(service, ServingConfig(
+                deadline=DeadlinePolicy(qos_factor=20.0),
+                brownout=BrownoutConfig.disabled()))
+            outcomes = []
+            for stream in streams:
+                outcomes += pipeline.serve(stream)
+            return outcomes, sweeps
+
+        names = [case.network.name for case in cases]
+        outcomes, sweeps = serve(ServingPipeline, arrivals, later)
+        assert sweeps == [(names[0], 0.0), (names[1], 0.0),
+                          (names[0], 100_000.0), (names[1], 100_000.0)]
+        reference, reference_sweeps = serve(ScalarReferencePipeline,
+                                            arrivals, later)
+        assert len(reference_sweeps) > len(sweeps)
         assert [type(o.outcome).__name__ for o in outcomes] \
             == [type(o.outcome).__name__ for o in reference]
 

@@ -120,8 +120,8 @@ class TestFeasibilityFloor:
 
 
 class TestShedVerdict:
-    """The vectorized drain's classifier mirrors the scalar drain's
-    inline checks and the inclusive-deadline convention."""
+    """The classifier mirrors the serving drain's inline checks and the
+    inclusive-deadline convention."""
 
     def test_servable_inside_budget(self):
         assert shed_verdict(0.0, 100.0, 50.0) is None
@@ -132,7 +132,7 @@ class TestShedVerdict:
     def test_at_deadline_is_not_expired(self):
         # Inclusive deadline: remaining == 0 is still alive; any
         # positive service floor then overshoots => INFEASIBLE, the
-        # same verdict the scalar drain reaches at this boundary.
+        # same verdict the serving drain reaches at this boundary.
         assert shed_verdict(100.0, 100.0, 0.1) is ShedReason.INFEASIBLE
         assert shed_verdict(100.0, 100.0, 0.0) is None
 

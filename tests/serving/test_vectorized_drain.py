@@ -1,38 +1,153 @@
-"""Bit-parity of the vectorized (SoA) drain against the scalar drain.
+"""Bit-parity of the serving drain against a request-at-a-time oracle.
 
-The acceptance property of the vectorized decision plane: with
-``vectorized=True`` (the default) every observable — outcome
-measurements, trace rows, Q-table bytes, visit counts, both RNG
-streams' bit-generator states, the virtual clock, and the shed ledger —
-is byte-equal to a twin run forced onto the scalar reference drain with
-``vectorized=False``.  Each scenario below targets one branch of the
-vectorized sweep: lazy training selection, the frozen batched-argmax
-prefill, brownout/nominal selection, multi-network batches, and
-mid-batch expiry.
+The pipeline has one drain, and its memo (the drain-start observation,
+and per network the encoded state and feasibility floor; see
+``ServingPipeline._drain_memo``) is the only thing that separates it
+from plain per-request serving.  The acceptance
+property: every observable — outcome measurements, trace rows, Q-table
+bytes, visit counts, both RNG streams' bit-generator states, the
+virtual clock, and the shed ledger — is byte-equal to
+:class:`ScalarReferencePipeline`, a test-local copy of the drain that
+re-observes, re-encodes and re-sweeps per request with no memo at all.
 
-The use-case-keyed coalescing regression (two use cases sharing a
-(network, state) bucket under brownout) is pinned here too, for both
-drain implementations.
+The cases cover training and frozen selection, brownout, multi-network
+batches, mid-batch expiry, a dynamic scenario, the resilient retry path
+under a fault plan, a live guard, and kernel ``TIMER`` scenario swaps
+that land inside a drain.  The memo's predicate (scenario identity,
+mask bytes, network identity) is pinned directly as well, and so is
+the use-case-keyed coalescing regression (two use cases sharing a
+(network, state) bucket under brownout).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import repro.serving.pipeline as pipeline_module
 from repro.core.service import AutoScaleService
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import UseCase, use_case_for
+from repro.env.scenarios import build_scenario
+from repro.faults.plan import FaultPlan, OutageWindow
+from repro.faults.resilience import ResiliencePolicy
+from repro.guard import GuardConfig, GuardStage, PolicyGuard
 from repro.hardware.devices import build_device
 from repro.models.quantization import Precision
 from repro.serving.arrivals import Arrival, PoissonArrivals
-from repro.serving.brownout import BrownoutConfig
-from repro.serving.pipeline import ServingConfig, ServingPipeline
-from repro.serving.shedder import DeadlinePolicy
+from repro.serving.brownout import BrownoutConfig, BrownoutTier
+from repro.serving.pipeline import (
+    ServedRequest,
+    ServingConfig,
+    ServingPipeline,
+)
+from repro.serving.shedder import (
+    DeadlinePolicy,
+    ShedReason,
+    min_feasible_latency_ms,
+)
+from repro.sim.events import EventKind
 
 
-def _service(seed):
-    env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
-                               seed=seed)
-    return AutoScaleService(env, seed=seed)
+class ScalarReferencePipeline(ServingPipeline):
+    """The request-at-a-time reference drain: per-request observation
+    refresh, encode and feasibility sweep, no memo."""
+
+    def _drain_cycle(self, outcomes):
+        """The reference drain: per-request observation refresh and
+        feasibility sweeps.  Correct under every configuration."""
+        service = self.service
+        env = service.environment
+        engine = service.engine
+        tier = self.brownout.observe_pressure(self.queue.depth)
+        batch = self.queue.take_batch(self.config.batch_max)
+        observation = env.observe()
+        mask = self._combined_mask()
+        browned = self.brownout.tier is not BrownoutTier.NORMAL
+        # One selection per (network, state) group; execution, reward,
+        # and Q update stay per-request via step_with_action.
+        decisions = {}
+        # The feasibility floor must be judged against *current*
+        # conditions: earlier requests in the batch advance the clock,
+        # so the drain-start observation's load/RSSI go stale.  Track
+        # the freshest sample and re-observe only when time has moved —
+        # a batch of one (the pinned zero-overload path) never
+        # re-observes, so that path stays bit-identical.
+        feasibility_obs = observation
+        for request in batch:
+            now_ms = env.clock.now_ms
+            use_case = request.use_case
+            if self.config.shedding:
+                if request.remaining_ms(now_ms) < 0:
+                    self._shed(request, ShedReason.EXPIRED, now_ms,
+                               outcomes)
+                    continue
+                if feasibility_obs.now_ms != now_ms:
+                    feasibility_obs = env.observe()
+                sweep = env.estimate_all(use_case.network,
+                                         feasibility_obs)
+                floor_ms = min_feasible_latency_ms(sweep, mask)
+                if now_ms + floor_ms > request.deadline_ms:
+                    self._shed(request, ShedReason.INFEASIBLE, now_ms,
+                               outcomes)
+                    continue
+            wait_ms = request.queue_delay_ms(now_ms)
+            guard = self.guard
+            shadowing = (guard.enabled
+                         and guard.stage.depth >= GuardStage.SHADOW.depth)
+            if service.resilience.enabled:
+                outcome = self._serve_resilient(use_case, wait_ms, tier)
+                if guard.enabled:
+                    if outcome.failed:
+                        guard.note_refusal()
+                    else:
+                        guard.note_qos(wait_ms + outcome.latency_ms
+                                       <= use_case.qos_ms)
+            else:
+                state = engine.observe_state(use_case.network, observation)
+                key = self._decision_key(use_case, state, shadowing,
+                                         browned)
+                if key not in decisions:
+                    if shadowing:
+                        # SHADOW/DEGRADE: the nominal-argmin baseline
+                        # decides (zero extra energy — the sweep is the
+                        # cached cost model, not an execution); the Q
+                        # update below still runs off-policy.
+                        decisions[key] = (self._shadow_action(
+                            use_case, observation, mask,
+                            local_only=guard.stage is GuardStage.DEGRADE,
+                        ), False)
+                    elif browned:
+                        decisions[key] = (self._brownout_action(
+                            use_case, observation, mask), False)
+                    else:
+                        decisions[key] = engine.select_action(state,
+                                                              allowed=mask)
+                action, explored = decisions[key]
+                step = engine.step_with_action(
+                    use_case, action, observation, explored=explored,
+                )
+                service.trace.record_step(
+                    step, use_case, at_ms=env.clock.now_ms,
+                    queue_delay_ms=wait_ms, tier=tier.value,
+                    reason=self._trace_reason(),
+                )
+                outcome = step.result
+                if guard.enabled:
+                    self._feed_guard(step, use_case, observation, wait_ms)
+            self.shed_stats.note_served()
+            outcomes.append(ServedRequest(
+                request.arrival, outcome,
+                queue_delay_ms=wait_ms, tier=tier.value,
+            ))
+
+
+def _service(seed, scenario="S1", faults=None, resilience=None,
+             guard=None):
+    env = EdgeCloudEnvironment(build_device("mi8pro"), scenario=scenario,
+                               seed=seed, faults=faults)
+    return AutoScaleService(env, seed=seed, resilience=resilience,
+                            guard=guard)
 
 
 def _outcome_signature(outcome):
@@ -44,9 +159,22 @@ def _outcome_signature(outcome):
     return signature
 
 
-def _run(vectorized, seed, cases, arrivals, config, learning=True,
-         pretrain=0):
-    service = _service(seed)
+def _swap_at(service, at_ms, scenario):
+    """Schedule a kernel ``TIMER`` that installs ``scenario`` at
+    ``at_ms`` — it fires wherever the clock crosses that instant,
+    including in the middle of a drain."""
+    env = service.environment
+
+    def swap(event):
+        env.scenario = scenario
+
+    env.kernel.schedule(at_ms, EventKind.TIMER, payload="swap",
+                        callback=swap)
+
+
+def _run(pipeline_class, seed, cases, arrivals, config, learning=True,
+         pretrain=0, service_options=None, setup=None):
+    service = _service(seed, **(service_options or {}))
     for case in cases:
         service.register(case)
     if pretrain:
@@ -55,8 +183,9 @@ def _run(vectorized, seed, cases, arrivals, config, learning=True,
         service.environment.reset()
     if not learning:
         service.set_learning(False)
-    pipeline = ServingPipeline(
-        service, ServingConfig(**{**config, "vectorized": vectorized}))
+    if setup is not None:
+        setup(service)
+    pipeline = pipeline_class(service, ServingConfig(**config))
     outcomes = pipeline.serve(list(arrivals))
     return service, pipeline, outcomes
 
@@ -82,43 +211,49 @@ def _assert_bit_identical(fast, reference):
         == service_b.environment.clock.now_ms
     assert pipeline_a.shed_stats.as_dict() \
         == pipeline_b.shed_stats.as_dict()
+    assert service_a.breaker_states() == service_b.breaker_states()
+    assert pipeline_a.guard.status() == pipeline_b.guard.status()
 
 
 def _parity(seed, cases_of, arrivals_of, config, learning=True,
-            pretrain=0):
+            pretrain=0, service_options_of=None, setup=None):
+    """Run the drain and the oracle on twin services; both results are
+    returned and asserted byte-equal."""
     runs = [
-        _run(vectorized, seed, cases_of(), arrivals_of(), config,
-             learning=learning, pretrain=pretrain)
-        for vectorized in (True, False)
+        _run(pipeline_class, seed, cases_of(), arrivals_of(), config,
+             learning=learning, pretrain=pretrain,
+             service_options=(service_options_of()
+                              if service_options_of else None),
+             setup=setup)
+        for pipeline_class in (ServingPipeline, ScalarReferencePipeline)
     ]
+    _assert_bit_identical(runs[0], runs[1])
     return runs[0], runs[1]
 
 
 class TestDrainParity:
     def test_training_overload_burst(self, zoo):
-        """Training keeps selection lazy per group; a hopeless burst
-        mixes serves with EXPIRED and INFEASIBLE sheds mid-batch."""
+        """Training selects lazily per group; a hopeless burst mixes
+        serves with EXPIRED and INFEASIBLE sheds mid-batch."""
         case = use_case_for(zoo["mobilenet_v3"])
-        fast, reference = _parity(
+        fast, _ = _parity(
             11,
             lambda: [case],
             lambda: [Arrival(0.0, case.name) for _ in range(60)],
             dict(brownout=BrownoutConfig.disabled()),
         )
         assert fast[1].shed_stats.total_sheds > 0
-        _assert_bit_identical(fast, reference)
 
     def test_training_epsilon_explorations_replay_exactly(self, zoo):
-        """A multi-drain stream with exploration on: the optimistic
-        rollback must land every epsilon draw where the scalar
-        interleave puts it."""
+        """A multi-drain stream with exploration on: every epsilon draw
+        lands where the reference interleave puts it."""
         case = use_case_for(zoo["mobilenet_v3"])
 
         def arrivals():
             return PoissonArrivals(case.name, arrivals_per_s=5.0) \
                 .generate(30_000.0, np.random.default_rng(3))
 
-        fast, reference = _parity(
+        _, reference = _parity(
             13,
             lambda: [case],
             arrivals,
@@ -128,13 +263,12 @@ class TestDrainParity:
         )
         assert any(record.explored
                    for record in reference[0].trace.records)
-        _assert_bit_identical(fast, reference)
 
-    def test_frozen_engine_uses_batched_argmax(self, zoo):
-        """Frozen serving takes the upfront select_action_batch path —
-        and must still match the scalar drain byte for byte."""
+    def test_frozen_engine_decides_each_group_once(self, zoo):
+        """Frozen serving of a 40-request drain: one selection for the
+        whole coalescing group, byte-equal to the reference."""
         case = use_case_for(zoo["mobilenet_v3"])
-        fast, reference = _parity(
+        fast, _ = _parity(
             17,
             lambda: [case],
             lambda: [Arrival(0.0, case.name) for _ in range(40)],
@@ -144,13 +278,14 @@ class TestDrainParity:
             learning=False,
             pretrain=30,
         )
-        _assert_bit_identical(fast, reference)
+        # 30 pretraining selections, then one for the whole drain.
+        assert fast[0].engine.overhead.select_us.count == 30 + 1
 
     def test_brownout_tiers_match(self, zoo):
         """Escalated tiers route through the nominal-cost selection in
         both drains."""
         case = use_case_for(zoo["mobilenet_v3"])
-        fast, reference = _parity(
+        _, reference = _parity(
             23,
             lambda: [case],
             lambda: [Arrival(0.0, case.name) for _ in range(30)],
@@ -158,7 +293,6 @@ class TestDrainParity:
                  deadline=DeadlinePolicy(qos_factor=100.0)),
         )
         assert reference[1].brownout.escalations >= 1
-        _assert_bit_identical(fast, reference)
 
     def test_multi_network_batches(self, zoo):
         """Heterogeneous batches: three networks interleaved at the
@@ -175,7 +309,7 @@ class TestDrainParity:
                     for burst in range(6)
                     for index in range(9)]
 
-        fast, reference = _parity(
+        _parity(
             29,
             cases,
             arrivals,
@@ -183,13 +317,12 @@ class TestDrainParity:
                  deadline=DeadlinePolicy(qos_factor=30.0),
                  brownout=BrownoutConfig.disabled()),
         )
-        _assert_bit_identical(fast, reference)
 
     def test_batch_max_one_stays_pinned(self, zoo):
         """The pinned zero-overload path: batch_max=1 must serve
         identically on both drains (and never shed under no load)."""
         case = use_case_for(zoo["mobilenet_v3"])
-        fast, reference = _parity(
+        fast, _ = _parity(
             31,
             lambda: [case],
             lambda: [Arrival(30_000.0 * index, case.name)
@@ -197,7 +330,296 @@ class TestDrainParity:
             dict(batch_max=1),
         )
         assert fast[1].shed_stats.total_sheds == 0
-        _assert_bit_identical(fast, reference)
+
+    def test_dynamic_scenario_stream(self, zoo):
+        """D2 (a browser co-runner): every observation draws RNG, so
+        the floor is re-judged per request; the memo holds only the
+        drain's states."""
+        def cases():
+            return [use_case_for(zoo["mobilenet_v3"]),
+                    use_case_for(zoo["resnet_50"])]
+
+        def arrivals():
+            names = [case.name for case in cases()]
+            return [Arrival(150.0 * burst, names[index % 2])
+                    for burst in range(20)
+                    for index in range(5)]
+
+        _, reference = _parity(
+            37,
+            cases,
+            arrivals,
+            dict(deadline=DeadlinePolicy(qos_factor=20.0)),
+            service_options_of=lambda: dict(scenario="D2"),
+        )
+        assert reference[1].shed_stats.total_sheds > 0
+
+    def test_resilient_path_under_a_fault_plan(self, zoo):
+        """Retries, breakers and a periodic cloud outage: the resilient
+        branch uses memoized floors (static observations draw nothing,
+        even between retries), and breaker trips change the mask the
+        memo is tagged with."""
+        case = use_case_for(zoo["mobilenet_v3"])
+
+        def options():
+            return dict(
+                faults=FaultPlan(
+                    loss_scale=1.0, abort_prob=0.2, straggler_prob=0.1,
+                    outages=(OutageWindow("cloud", start_ms=2_000.0,
+                                          duration_ms=3_000.0,
+                                          period_ms=8_000.0),),
+                ),
+                resilience=ResiliencePolicy(),
+            )
+
+        def arrivals():
+            return PoissonArrivals(case.name, arrivals_per_s=5.0) \
+                .generate(30_000.0, np.random.default_rng(43))
+
+        fast, _ = _parity(
+            41,
+            lambda: [case],
+            arrivals,
+            dict(deadline=DeadlinePolicy(qos_factor=20.0)),
+            service_options_of=options,
+        )
+        assert fast[0].environment.fault_stats.total_failures > 0
+
+    def test_guard_live_stream(self, zoo):
+        """A live guard on the non-resilient path: ticks fire mid-drain
+        and a drift to D4 gives its detectors something to see."""
+        case = use_case_for(zoo["mobilenet_v3"])
+
+        def arrivals():
+            return PoissonArrivals(case.name, arrivals_per_s=30.0) \
+                .generate(20_000.0, np.random.default_rng(47))
+
+        fast, _ = _parity(
+            43,
+            lambda: [case],
+            arrivals,
+            dict(deadline=DeadlinePolicy(qos_factor=20.0)),
+            pretrain=40,
+            service_options_of=lambda: dict(
+                guard=PolicyGuard(GuardConfig())),
+            setup=lambda service: _swap_at(service, 6_000.0,
+                                           build_scenario("D4")),
+        )
+        assert fast[1].guard.status()["escalations"] >= 1
+
+
+class TestMidDrainScenarioSwap:
+    """Regression: a kernel ``TIMER`` that swaps S1 -> D4 inside a
+    drain of several requests.  From the swap on, observations draw RNG
+    and floors must be re-judged per request against fresh samples; a
+    floor memoized under S1 would skip those draws and shift every
+    later random number."""
+
+    @pytest.mark.parametrize("learning", [True, False],
+                             ids=["training", "frozen"])
+    @pytest.mark.parametrize("rate_per_s", [150.0, 400.0])
+    @pytest.mark.parametrize("swap_ms", [250.0, 777.7, 1_234.5, 1_600.0])
+    def test_swap_inside_dense_drains(self, zoo, learning, rate_per_s,
+                                      swap_ms):
+        case = use_case_for(zoo["mobilenet_v3"])
+
+        def arrivals():
+            return PoissonArrivals(case.name, arrivals_per_s=rate_per_s) \
+                .generate(2_000.0, np.random.default_rng(53))
+
+        # Deadlines loose enough that requests behind the swap reach the
+        # feasibility check instead of expiring first.
+        fast, _ = _parity(
+            59,
+            lambda: [case],
+            arrivals,
+            dict(queue_capacity=None,
+                 deadline=DeadlinePolicy(qos_factor=100.0),
+                 brownout=BrownoutConfig.disabled()),
+            learning=learning,
+            pretrain=30,
+            setup=lambda service: _swap_at(service, swap_ms,
+                                           build_scenario("D4")),
+        )
+        assert fast[0].environment.scenario.name == "D4"
+
+
+class TestMemoPredicate:
+    """The memo is reused only while the scenario object, the combined
+    mask bytes and the network object are all unchanged."""
+
+    def test_tag_holds_only_for_same_static_scenario_and_mask(self):
+        service = _service(61)
+        env = service.environment
+        pipeline = ServingPipeline(service)
+
+        def memo_for(mask):
+            return pipeline._drain_memo(env, mask)[1]
+
+        mask = np.ones(len(service.engine.action_space), dtype=bool)
+        memo = memo_for(None)
+        assert memo_for(None) is memo
+        # A mask change (brownout tier, breaker trip) starts afresh.
+        masked = memo_for(mask)
+        assert masked is not memo
+        assert memo_for(mask.copy()) is masked
+        narrowed = mask.copy()
+        narrowed[0] = False
+        assert memo_for(narrowed) is not masked
+        # So does a new scenario object, even an equal static one.
+        current = memo_for(narrowed)
+        env.scenario = build_scenario("S1")
+        assert memo_for(narrowed) is not current
+        # A dynamic scenario's memo never outlives its drain.
+        env.scenario = build_scenario("D2")
+        first = memo_for(narrowed)
+        assert memo_for(narrowed) is not first
+
+    def test_observation_is_reused_only_under_the_static_tag(self):
+        service = _service(61)
+        env = service.environment
+        pipeline = ServingPipeline(service)
+        observation, _ = pipeline._drain_memo(env, None)
+        env.advance_clock_to(500.0)
+        assert pipeline._drain_memo(env, None)[0] is observation
+        # Under D2 every drain observes, and every observe draws.
+        env.scenario = build_scenario("D2")
+        state = env.rng.bit_generator.state
+        first, _ = pipeline._drain_memo(env, None)
+        assert env.rng.bit_generator.state != state
+        assert pipeline._drain_memo(env, None)[0] is not first
+
+    @staticmethod
+    def _count(monkeypatch, service):
+        """Count encodes and floor computations during a serve."""
+        counts = {"states": 0, "floors": 0}
+        inner_state = service.engine.observe_state
+
+        def observe_state(network, observation):
+            counts["states"] += 1
+            return inner_state(network, observation)
+
+        def floor(sweep, allowed=None):
+            counts["floors"] += 1
+            return min_feasible_latency_ms(sweep, allowed)
+
+        service.engine.observe_state = observe_state
+        monkeypatch.setattr(pipeline_module, "min_feasible_latency_ms",
+                            floor)
+        return counts
+
+    @staticmethod
+    def _bursts(name, count=4, size=5):
+        return [Arrival(20_000.0 * burst, name)
+                for burst in range(count) for _ in range(size)]
+
+    def test_static_stream_computes_once(self, zoo, monkeypatch):
+        case = use_case_for(zoo["mobilenet_v3"])
+        service = _service(67)
+        service.register(case)
+        service.set_learning(False)
+        counts = self._count(monkeypatch, service)
+        ServingPipeline(service, ServingConfig(
+            brownout=BrownoutConfig.disabled(),
+        )).serve(self._bursts(case.name))
+        assert counts == {"states": 1, "floors": 1}
+
+    def test_scenario_swap_forces_recompute(self, zoo, monkeypatch):
+        """A fresh S1 object installed between drains: equal values,
+        but a new tag, so state and floor are recomputed once."""
+        case = use_case_for(zoo["mobilenet_v3"])
+        service = _service(67)
+        service.register(case)
+        service.set_learning(False)
+        _swap_at(service, 30_000.0, build_scenario("S1"))
+        counts = self._count(monkeypatch, service)
+        ServingPipeline(service, ServingConfig(
+            brownout=BrownoutConfig.disabled(),
+        )).serve(self._bursts(case.name))
+        assert counts == {"states": 2, "floors": 2}
+
+    def test_mask_change_forces_recompute(self, zoo, monkeypatch):
+        """A brownout escalation narrows the mask: the floor is judged
+        again under the new mask, and the result still matches the
+        reference byte for byte."""
+        case = use_case_for(zoo["mobilenet_v3"])
+
+        def arrivals():
+            return self._bursts(case.name, count=3, size=12)
+
+        config = dict(queue_capacity=None,
+                      deadline=DeadlinePolicy(qos_factor=100.0),
+                      brownout=BrownoutConfig(enter_depth=8,
+                                              exit_depth=2))
+        counted = []
+
+        def setup(service):
+            # Count on the first service only: the memoized drain.
+            if not counted:
+                counted.append(self._count(monkeypatch, service))
+
+        fast, _ = _parity(71, lambda: [case], arrivals, config,
+                          learning=False, pretrain=30, setup=setup)
+        assert fast[1].brownout.escalations >= 1
+        assert counted[0]["floors"] >= 2
+
+    def test_redefined_network_forces_recompute(self, zoo):
+        """Two use cases whose networks share a name but not a
+        definition: each request is encoded from its own network."""
+        network = zoo["mobilenet_v3"]
+        twin = dataclasses.replace(zoo["resnet_50"], name=network.name)
+
+        def cases():
+            return [UseCase(name="original", network=network,
+                            qos_ms=50.0),
+                    UseCase(name="redefined", network=twin,
+                            qos_ms=500.0)]
+
+        def arrivals():
+            return [Arrival(5_000.0 * burst, name)
+                    for burst in range(4)
+                    for name in ("original", "redefined")]
+
+        fast, _ = _parity(
+            73, cases, arrivals,
+            dict(brownout=BrownoutConfig.disabled()),
+        )
+        service, _, outcomes = fast
+        engine = service.engine
+        observation = service.environment.observe()
+        expected = {"original": engine.observe_state(network, observation),
+                    "redefined": engine.observe_state(twin, observation)}
+        assert expected["original"] != expected["redefined"]
+        served = [o.arrival.name for o in outcomes if o.delivered]
+        assert set(served) == {"original", "redefined"}
+        assert [step.state for step in engine.history] \
+            == [expected[name] for name in served]
+
+
+class TestBatchSizeInvariance:
+    """A frozen deployment draining a backlog serves identical outcomes
+    at batch 64 and at batch 1: same targets, latencies and energies,
+    in the same order."""
+
+    def test_backlog_outcomes_do_not_depend_on_batch_size(self, zoo):
+        case = use_case_for(zoo["mobilenet_v3"])
+
+        def drain(batch_max):
+            service, _, outcomes = _run(
+                ServingPipeline, 0, [case],
+                [Arrival(0.0, case.name) for _ in range(128)],
+                dict(queue_capacity=None,
+                     deadline=DeadlinePolicy(qos_factor=1e6),
+                     brownout=BrownoutConfig.disabled(),
+                     batch_max=batch_max),
+                learning=False, pretrain=40,
+            )
+            return [(served.outcome.target_key, served.outcome.latency_ms,
+                     served.outcome.energy_mj) for served in outcomes]
+
+        batched = drain(64)
+        assert len(batched) == 128
+        assert batched == drain(1)
 
 
 class TestUseCaseKeyedCoalescing:
@@ -206,9 +628,7 @@ class TestUseCaseKeyedCoalescing:
     name on those branches — two use cases sharing one (network, state)
     bucket must each get *their own* degraded action."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_browned_bucket_not_shared_across_use_cases(self, zoo,
-                                                        vectorized):
+    def test_browned_bucket_not_shared_across_use_cases(self, zoo):
         network = zoo["mobilenet_v3"]
         probe = _service(41)
         env = probe.environment
@@ -240,7 +660,6 @@ class TestUseCaseKeyedCoalescing:
         pipeline = ServingPipeline(service, ServingConfig(
             queue_capacity=None, shedding=False,
             brownout=BrownoutConfig(enter_depth=1, exit_depth=0),
-            vectorized=vectorized,
         ))
         # 'loose' sorts first, so it seeds the (network, state) bucket;
         # before the fix 'tight' inherited its action.
