@@ -23,13 +23,13 @@ from repro import (
     build_network,
     use_case_for,
 )
+from repro.core.tracing import TraceRecorder
 from repro.env.workload import (
     MixedWorkload,
     PoissonWorkload,
     SessionWorkload,
     run_workload,
 )
-from repro.evalharness.tracing import TraceRecorder
 
 WARMUP_RUNS = 150
 AFTERNOON_MS = 10 * 60 * 1000.0  # ten (virtual) minutes

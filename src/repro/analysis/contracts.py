@@ -26,6 +26,7 @@ __all__ = [
     "RSSI_FLOOR_DBM",
     "RSSI_CEIL_DBM",
     "contracts_enabled",
+    "is_finite",
     "ensure_finite",
     "ensure_power_mw",
     "ensure_latency_ms",
@@ -68,13 +69,17 @@ def _reject(error_cls, name, value, requirement):
                     f"got {value!r}")
 
 
+def is_finite(value):
+    """Whether ``value`` is a finite number (False for non-numbers)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def ensure_finite(value, name="value", error_cls=ConfigError):
     """Reject NaN/inf (and non-numbers)."""
-    try:
-        finite = math.isfinite(value)
-    except TypeError:
-        finite = False
-    if not finite:
+    if not is_finite(value):
         _reject(error_cls, name, value, "a finite number")
     return value
 

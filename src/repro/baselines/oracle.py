@@ -22,19 +22,15 @@ __all__ = ["OptOracle"]
 class OptOracle(Scheduler):
     """Exhaustive nominal-model search over the full action space.
 
-    Against an :class:`~repro.env.EdgeCloudEnvironment` the search runs
-    through ``estimate_all`` — one vectorized sweep instead of ~66 scalar
-    ``estimate`` calls — and selects the identical target (the sweep's
-    ``argbest`` reproduces the feasibility-first ranking below).  Pass
-    ``batched=False`` to force the scalar reference path; environments
-    without ``estimate_all`` fall back to it automatically.
+    The search runs through the environment's ``estimate_all`` — one
+    vectorized sweep of every target — and the sweep's ``argbest``
+    ranks them: feasibility first (accuracy, then QoS), then energy.
     """
 
     name = "opt"
 
-    def __init__(self, cache=True, batched=True):
+    def __init__(self, cache=True):
         self._cache_enabled = cache
-        self._batched = batched
         self._cache = {}
 
     def _cache_key(self, use_case, state_key):
@@ -56,18 +52,8 @@ class OptOracle(Scheduler):
             self._cache[self._cache_key(use_case, state_key)] = best
         return best
 
-    def _sweep_for(self, environment, use_case, observation):
-        """The batched all-target sweep, or None on the scalar path."""
-        estimate_all = (getattr(environment, "estimate_all", None)
-                        if self._batched else None)
-        if estimate_all is None:
-            return None
-        return estimate_all(use_case.network, observation)
-
     def _search(self, environment, use_case, observation):
-        sweep = self._sweep_for(environment, use_case, observation)
-        if sweep is None:
-            return self._search_scalar(environment, use_case, observation)
+        sweep = environment.estimate_all(use_case.network, observation)
         index = sweep.argbest(use_case)
         if index is None:
             raise SimulationError(
@@ -75,33 +61,8 @@ class OptOracle(Scheduler):
             )
         return sweep.targets[index]
 
-    def _search_scalar(self, environment, use_case, observation):
-        best, best_rank = None, None
-        for target in environment.targets():
-            accuracy = environment.accuracy.lookup(
-                use_case.network.name, target.precision
-            )
-            if not use_case.meets_accuracy(accuracy):
-                continue
-            result = environment.estimate(use_case.network, target,
-                                          observation)
-            rank = (not use_case.meets_qos(result.latency_ms),
-                    result.energy_mj)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = target, rank
-        if best is None:
-            raise SimulationError(
-                f"no accuracy-feasible target exists for {use_case.name}"
-            )
-        return best
-
     def evaluate(self, environment, use_case, observation):
         """The oracle's nominal (energy, latency) at its chosen target."""
         target = self.select(environment, use_case, observation)
-        sweep = self._sweep_for(environment, use_case, observation)
-        if sweep is None:
-            result = environment.estimate(use_case.network, target,
-                                          observation)
-        else:
-            result = sweep.result_for(target)
-        return target, result
+        sweep = environment.estimate_all(use_case.network, observation)
+        return target, sweep.result_for(target)

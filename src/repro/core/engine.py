@@ -9,9 +9,10 @@ estimated energy, and the stored accuracy; and (5) updates the Q-table.
 The engine instruments its own decision/update path with wall-clock
 timers, which is what the Section VI-C overhead analysis measures.
 
-Training episodes (:meth:`AutoScale.run`) run through one hoisted loop
-that is bit-identical to calling :meth:`AutoScale.step` per inference;
-every execution goes through the environment's one executor,
+One private cycle runs that loop body.  :meth:`AutoScale.step` and
+:meth:`AutoScale.step_with_action` are single calls to it, and
+:meth:`AutoScale.run` loops over it; every execution goes through the
+environment's one executor,
 :meth:`~repro.env.environment.EdgeCloudEnvironment.execute`.
 """
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.contracts import contracts_enabled
 from repro.common import ConfigError, make_rng
 from repro.core.action import ActionSpace
 from repro.core.convergence import ConvergenceDetector
@@ -211,6 +211,11 @@ class AutoScale:
         self.convergence = ConvergenceDetector()
         self.training = True
         self.history = BoundedHistory()
+        # Per-engine constants of the per-step path, bound once.
+        self._targets = self.action_space.targets
+        self._select_append = self.overhead.select_us.append
+        self._update_append = self.overhead.update_us.append
+        self._history_append = self.history.append
 
     # ------------------------------------------------------------------
     # Mode control
@@ -249,7 +254,7 @@ class AutoScale:
         started = time.perf_counter()
         if explore and self.rng.random() < self.config.epsilon:
             if allowed is None:
-                action = int(self.rng.integers(len(self.action_space)))
+                action = int(self.rng.integers(len(self._targets)))
             else:
                 candidates = np.flatnonzero(allowed)
                 action = int(candidates[
@@ -267,14 +272,12 @@ class AutoScale:
             # complete, the Q-table is used to select A").  States never
             # visited during training fall back to the nearest trained
             # sibling state of the same network (see _sibling_fallback).
-            if self.qtable.visits[state].any():
+            if np.count_nonzero(self.qtable.visits[state]):
                 action = self.qtable.best_visited_action(state, allowed)
             else:
                 action = self._sibling_fallback(state, allowed)
             explored = False
-        self.overhead.select_us.append(
-            (time.perf_counter() - started) * 1e6
-        )
+        self._select_append((time.perf_counter() - started) * 1e6)
         return action, explored
 
     def _variance_block_size(self):
@@ -317,7 +320,7 @@ class AutoScale:
         best_action, best_distance = None, None
         for sibling_offset in range(block):
             sibling = base + sibling_offset
-            if not self.qtable.visits[sibling].any():
+            if not np.count_nonzero(self.qtable.visits[sibling]):
                 continue
             distance = self._bin_distance(offset, sibling_offset)
             if best_distance is None or distance < best_distance:
@@ -356,27 +359,17 @@ class AutoScale:
         overrun it (the aborted attempt still bills its energy and feeds
         the Q update, so the table learns the target is flaky).
         """
-        env = self.environment
-        if observation is None:
-            observation = env.observe()
-        state = self.observe_state(use_case.network, observation)
-        action, explored = self.select_action(state,
-                                              allowed=allowed_actions)
-        return self._complete_step(use_case, state, action, explored,
-                                   observation, deadline_ms)
+        return self._cycle(use_case, observation, allowed=allowed_actions,
+                           deadline_ms=deadline_ms)[0]
 
     def step_with_action(self, use_case, action, observation,
                          explored=False, deadline_ms=None, state=None):
-        """Algorithm 1 with the selection already made.
+        """:meth:`step` with the selection already made.
 
-        The batched serving drain selects once per ``(network, state)``
-        group (one Q-table row read) and then completes each coalesced
-        request through this entry point: execute, reward, successor
-        observation, and Q update all still happen *per request*, so the
-        learning dynamics are identical to :meth:`step` — only the
-        redundant selections are elided.  Execution goes through
-        :meth:`~repro.env.environment.EdgeCloudEnvironment.execute`, the
-        environment's one executor, as in :meth:`step`.
+        The serving drain selects once per ``(network, state)`` group
+        and completes each coalesced request here: execute, reward,
+        successor observation and Q update run per request in the same
+        cycle as :meth:`step`, so the learning dynamics are identical.
 
         ``state``, when given, must be the caller's already-computed
         ``observe_state(use_case.network, observation)`` — encoding is
@@ -384,48 +377,13 @@ class AutoScale:
         without changing any observable.  The serving drain memoizes
         one state per network and feeds it here for every request.
         """
-        if not 0 <= action < len(self.action_space):
+        if not 0 <= action < len(self._targets):
             raise ConfigError(
                 f"action {action} outside the "
-                f"{len(self.action_space)}-action space"
+                f"{len(self._targets)}-action space"
             )
-        if state is None:
-            state = self.observe_state(use_case.network, observation)
-        return self._complete_step(use_case, state, action, explored,
-                                   observation, deadline_ms)
-
-    def _complete_step(self, use_case, state, action, explored,
-                       observation, deadline_ms):
-        """Execute + reward + successor-observe + update for one request."""
-        env = self.environment
-        network = use_case.network
-        target = self.action_space.target(action)
-        result = env.execute(network, target, observation,
-                             deadline_ms=deadline_ms)
-
-        started = time.perf_counter()
-        reward = compute_reward(result, use_case, self.reward_config)
-        q_delta = 0.0
-        if self.training:
-            next_observation = env.observe()
-            next_state = self.observe_state(network, next_observation)
-            q_delta = self.qtable.update(state, action, reward, next_state)
-            # Exploration steps are deliberate off-policy probes; feeding
-            # their rewards to the detector would make the "converged"
-            # reward stream look noisy forever.
-            if not explored:
-                self.convergence.observe(reward, executed_action=action)
-        self.overhead.update_us.append(
-            (time.perf_counter() - started) * 1e6
-        )
-
-        record = AutoScaleStep(
-            state=state, action=action, target_key=target.key,
-            reward=reward, result=result, explored=explored,
-            q_delta=q_delta,
-        )
-        self.history.append(record)
-        return record
+        return self._cycle(use_case, observation, state, action, explored,
+                           deadline_ms=deadline_ms)[0]
 
     def run(self, use_case, num_inferences, stop_on_convergence=False):
         """Run up to ``num_inferences`` Algorithm-1 cycles for one use case.
@@ -434,160 +392,76 @@ class AutoScale:
         episode ends right after the step on which the reward converged
         (the online-adaptation protocol).
 
-        One eligibility predicate picks the loop: a training engine
-        whose environment has no active fault plan runs the hoisted
-        :meth:`_train` loop, bit-identical to per-step :meth:`step`
-        calls; any other configuration (frozen engine, active faults)
-        calls :meth:`step` per inference.
+        A plain loop over the cycle :meth:`step` runs, bit-identical to
+        calling :meth:`step` per inference.  The one saving: while the
+        scenario is static (it draws nothing and returns the same values
+        every time), one observation and its state carry across
+        iterations instead of two samples per step.  A kernel event that
+        swaps the scenario during an execution ends the reuse there.
         """
         if num_inferences < 1:
             raise ConfigError("num_inferences must be >= 1")
-        if self.training and not self.environment.faults_active:
-            return self._train(use_case, num_inferences,
-                               stop_on_convergence)
-        steps = []
-        for _ in range(num_inferences):
-            steps.append(self.step(use_case))
-            if stop_on_convergence and self.converged:
-                break
-        return steps
-
-    def _train(self, use_case, num_inferences, stop_on_convergence):
-        """``num_inferences`` training :meth:`step` cycles in one loop.
-
-        Bit-identical to calling :meth:`step` per inference: the same
-        draws from both RNG streams in the same order (environment:
-        observation in dynamic scenarios, execution jitters, successor
-        observation; engine: one uniform per step plus one integer when
-        exploring), the same float arithmetic, and the same history
-        records, Q-table, visit counts, convergence bookkeeping and
-        clock.  Execution goes through ``env.execute``, so due kernel
-        events fire exactly where :meth:`step` fires them.
-
-        The savings are per-step dispatch and, under a static scenario
-        (which draws nothing and returns the same values every time),
-        one reused observation instead of two samples per step.  A
-        kernel event that swaps the scenario mid-episode ends the reuse
-        on the step it fires.
-
-        With runtime contracts on (``REPRO_CONTRACTS``/pytest) reward
-        and Q update go through the instrumented ``compute_reward`` and
-        ``QTable.update``; with contracts off (the production
-        configuration) they run as inlined replicas of the same float
-        expressions.
-        """
-        env = self.environment
-        network = use_case.network
-        qtable = self.qtable
-        values = qtable.values
-        visits = qtable.visits
-        gamma = qtable.config.learning_rate
-        mu = qtable.config.discount
-        epsilon = self.config.epsilon
-        targets = self.action_space.targets
-        n_actions = len(targets)
-        target_keys = [target.key for target in targets]
-        reward_config = self.reward_config
-        alpha = reward_config.alpha
-        beta = reward_config.beta
-        normalize = reward_config.normalize
-        energy_ref_mj = reward_config.energy_ref_mj
-        accuracy_target = use_case.accuracy_target
-        qos_ms = use_case.qos_ms
+        cycle = self._cycle
         convergence = self.convergence
-        converge_observe = convergence.observe
-        select_append = self.overhead.select_us.append
-        update_append = self.overhead.update_us.append
-        history_append = self.history.append
-        engine_random = self.rng.random
-        engine_integers = self.rng.integers
-        observe = env.observe
-        execute = env.execute
-        encode = self.state_space.encode
-        perf_counter = time.perf_counter
-        faithful = contracts_enabled()
-
-        scenario = env.scenario
-        static = env.scenario_is_static
-        observation = None
+        observation = state = None
         steps = []
         for _ in range(num_inferences):
-            if observation is None or not static:
-                observation = observe()
-                state = encode(network, observation)
-            started = perf_counter()
-            if engine_random() < epsilon:
-                action = int(engine_integers(n_actions))
-                explored = True
-            else:
-                # np.argmax dispatches here anyway; call it directly.
-                action = int(values[state].argmax())
-                explored = False
-            select_append((perf_counter() - started) * 1e6)
-
-            result = execute(network, targets[action], observation)
-
-            started = perf_counter()
-            if faithful or result.failed:
-                reward = compute_reward(result, use_case, reward_config)
-            else:
-                # Equation (5) (``compute_reward``) inline, normalized
-                # branch, non-failed results only.  Same expressions,
-                # same order.
-                accuracy = result.accuracy_pct
-                if accuracy_target is not None \
-                        and accuracy < accuracy_target:
-                    reward = (-50.0 + (accuracy - 100.0) / 100.0
-                              if normalize else accuracy - 100.0)
-                else:
-                    latency_ms = result.latency_ms
-                    if normalize:
-                        cost_term = (result.estimated_energy_mj
-                                     / energy_ref_mj)
-                        time_term = latency_ms / energy_ref_mj
-                    else:
-                        cost_term = result.estimated_energy_mj / 1000.0
-                        time_term = latency_ms / 1000.0
-                    reward = -cost_term + beta * (accuracy / 100.0)
-                    if latency_ms <= qos_ms:
-                        reward += alpha * time_term
-            if env.scenario is not scenario:
-                # A kernel event fired during execute swapped the
-                # scenario: re-observe now and at the next step.
-                scenario = env.scenario
-                static = env.scenario_is_static
-                observation = None
-                next_state = encode(network, observe())
-            elif static:
-                # step() re-observes here; a static scenario returns the
-                # same values without drawing, so reuse.
-                next_state = state
-            else:
-                next_state = encode(network, observe())
-            if faithful:
-                q_delta = qtable.update(state, action, reward, next_state)
-            else:
-                # QTable.update's expression chain, verbatim (np.max
-                # dispatches to ndarray.max; same bits, less overhead).
-                target_q = reward + mu * float(values[next_state].max())
-                delta = gamma * (target_q - values[state, action])
-                values[state, action] += delta
-                visits[state, action] += 1
-                qtable.update_count += 1
-                q_delta = float(delta)
-            if not explored:
-                converge_observe(reward, executed_action=action)
-            update_append((perf_counter() - started) * 1e6)
-            record = AutoScaleStep(
-                state=state, action=action, target_key=target_keys[action],
-                reward=reward, result=result, explored=explored,
-                q_delta=q_delta,
-            )
-            history_append(record)
+            record, observation, state = cycle(use_case, observation, state,
+                                               carry=True)
             steps.append(record)
             if stop_on_convergence and convergence.converged:
                 break
         return steps
+
+    def _cycle(self, use_case, observation=None, state=None, action=None,
+               explored=False, allowed=None, deadline_ms=None, carry=False):
+        """Algorithm 1 once: observe, encode and select unless given,
+        then execute, reward, successor observe/encode, update, record.
+
+        Returns ``(record, observation, state)``.  The last two are the
+        successor to feed the next cycle when ``carry`` is set, the
+        scenario is static and was not swapped during ``execute``
+        (encoding the same values again gives the same state); otherwise
+        ``None``, and the next cycle observes afresh.
+        """
+        env = self.environment
+        network = use_case.network
+        if observation is None:
+            observation = env.observe()
+        if state is None:
+            state = self.observe_state(network, observation)
+        if action is None:
+            action, explored = self.select_action(state, allowed=allowed)
+        scenario = env.scenario
+        target = self._targets[action]
+        result = env.execute(network, target, observation,
+                             deadline_ms=deadline_ms)
+
+        started = time.perf_counter()
+        reward = compute_reward(result, use_case, self.reward_config)
+        reuse = (carry and env.scenario is scenario
+                 and env.scenario_is_static)
+        q_delta = 0.0
+        if self.training:
+            next_state = state if reuse else \
+                self.observe_state(network, env.observe())
+            q_delta = self.qtable.update(state, action, reward, next_state)
+            # Exploration steps are deliberate off-policy probes; feeding
+            # their rewards to the detector would make the "converged"
+            # reward stream look noisy forever.
+            if not explored:
+                self.convergence.observe(reward, executed_action=action)
+        self._update_append((time.perf_counter() - started) * 1e6)
+
+        record = AutoScaleStep(
+            state=state, action=action, target_key=target.key,
+            reward=reward, result=result, explored=explored,
+            q_delta=q_delta,
+        )
+        self._history_append(record)
+        if reuse:
+            return record, observation, state
+        return record, None, None
 
     # ------------------------------------------------------------------
     # Prediction (trained-table usage)

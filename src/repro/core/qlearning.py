@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.contracts import contracts_enabled, ensure_q_value
+from repro.analysis.contracts import (
+    contracts_enabled,
+    ensure_q_value,
+    is_finite,
+)
 from repro.common import ConfigError, make_rng
 
 __all__ = ["QLearningConfig", "QTable", "epsilon_greedy"]
@@ -99,7 +103,7 @@ class QTable:
         returning a nonsensical index.
         """
         if allowed is None or not np.any(allowed):
-            return int(np.argmax(self.values[state]))
+            return int(self.values[state].argmax())
         values = np.where(allowed, self.values[state], -np.inf)
         return int(np.argmax(values))
 
@@ -114,17 +118,18 @@ class QTable:
         were never visited at all.  ``allowed`` additionally restricts
         the choice as in :meth:`best_action`.
         """
-        visited = self.visits[state] > 0
+        visited = self.visits[state].nonzero()[0]
         if allowed is not None:
-            visited = visited & np.asarray(allowed, dtype=bool)
-        if not visited.any():
+            visited = visited[np.asarray(allowed, dtype=bool)[visited]]
+        if not visited.size:
             return self.best_action(state, allowed)
-        values = np.where(visited, self.values[state], -np.inf)
-        return int(np.argmax(values))
+        # The first maximum among the visited actions, in action order.
+        return int(visited[self.values[state][visited].argmax()])
 
     def best_value(self, state):
         """max_a Q(state, a)."""
-        return float(np.max(self.values[state]))
+        # ndarray.max is this reduction behind a Python-level wrapper.
+        return float(np.maximum.reduce(self.values[state]))
 
     def value(self, state, action):
         return float(self.values[state, action])
@@ -138,16 +143,18 @@ class QTable:
 
         Q(S,A) <- Q(S,A) + gamma * [R + mu * max_a' Q(S',A') - Q(S,A)]
         """
-        if contracts_enabled():
+        # The Q-value contracts reject only non-finite values, so the
+        # REPRO_CONTRACTS switch is read only when one shows up.
+        if not is_finite(reward) and contracts_enabled():
             ensure_q_value(reward, "reward")
         gamma = self.config.learning_rate
         mu = self.config.discount
         target = reward + mu * self.best_value(next_state)
         delta = gamma * (target - self.values[state, action])
         self.values[state, action] += delta
-        if contracts_enabled():
-            ensure_q_value(float(self.values[state, action]),
-                           f"Q[{state}, {action}]")
+        value = float(self.values[state, action])
+        if not is_finite(value) and contracts_enabled():
+            ensure_q_value(value, f"Q[{state}, {action}]")
         self.visits[state, action] += 1
         self.update_count += 1
         return float(delta)

@@ -14,6 +14,8 @@ from repro.common import ConfigError, ppw_from_energy
 
 __all__ = ["ExecutionResult"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True, slots=True)
 class ExecutionResult:
@@ -51,6 +53,17 @@ class ExecutionResult:
     shed = False
 
     def __post_init__(self):
+        # One chained comparison accepts every valid result (NaN fails
+        # every comparison); anything else goes through the named
+        # checks below, which raise the precise contract violation.
+        try:
+            if (0.0 < self.latency_ms < _INF
+                    and 0.0 < self.energy_mj < _INF
+                    and 0.0 < self.estimated_energy_mj < _INF
+                    and 0.0 <= self.accuracy_pct <= 100.0):
+                return
+        except (TypeError, ValueError):
+            pass
         # Finiteness first: NaN slips through plain comparisons (``nan
         # <= 0`` is False), and a NaN latency here would silently poison
         # every downstream benchmark figure.

@@ -49,7 +49,6 @@ class TestFlowZeroBaseline:
         found = sorted((violation.rule, violation.name)
                        for violation in report.violations)
         assert found == [
-            ("RL102", "AutoScale._complete_step:time.perf_counter"),
-            ("RL102", "AutoScale._train:time.perf_counter"),
+            ("RL102", "AutoScale._cycle:time.perf_counter"),
             ("RL102", "AutoScale.select_action:time.perf_counter"),
         ], "\n" + report.format()

@@ -1,13 +1,17 @@
-"""Bit-parity tests: the training loop of ``AutoScale.run`` vs ``step``.
+"""Bit-parity tests: ``AutoScale.run`` vs a per-step ``step`` loop.
 
-``AutoScale.run`` trains through one hoisted loop that is only allowed
-to be *faster* — every observable of a training protocol (Q-table
-bytes, visit counts, update counts, convergence episode, step records
-including ``detail``, virtual-clock position, and both RNG streams)
-must be bit-identical to an explicit per-step ``engine.step`` loop
-under the same seed.  ``EdgeCloudEnvironment.execute`` (cached
-nominals) is held to the same contract against the layer-walk
-reference executors.
+``run`` loops over the same Algorithm-1 cycle ``step`` runs, reusing
+the observation across iterations while the scenario is static.  Every
+observable of a protocol (Q-table bytes, visit counts, update counts,
+convergence episode, step records including ``detail``, virtual-clock
+position, and both RNG streams) must be bit-identical to an explicit
+per-step ``engine.step`` loop under the same seed: training, frozen,
+under an active fault plan, and across kernel events that swap the
+scenario or the fault plan mid-episode.  Because both share one body,
+``run`` is also pinned against the parent's independent loop by the
+``training_campaign`` fixture in ``tests/sim``.
+``EdgeCloudEnvironment.execute`` (cached nominals) is held to the same
+contract against the layer-walk reference executors.
 """
 
 import dataclasses
@@ -144,14 +148,14 @@ class TestExecuteBatchParity:
 class TestBatchTrainerParity:
     @pytest.mark.parametrize("scenario", ["S1", "S4", "D3"])
     def test_full_protocol_contracts_on(self, scenario):
-        # Under pytest, contracts are on: reward and Q update go through
-        # the instrumented compute_reward/QTable.update.
+        # Under pytest, contracts are on: QTable.update validates the
+        # reward and the updated Q-value.
         _assert_protocol_parity(scenario)
 
     @pytest.mark.parametrize("scenario", ["S1", "D3"])
     def test_full_protocol_contracts_off(self, scenario, monkeypatch):
-        # REPRO_CONTRACTS=0 switches the loop to its inlined reward and
-        # Q-update replicas; parity must hold bit-for-bit there too.
+        # REPRO_CONTRACTS=0, the production configuration: the same
+        # arithmetic without the checks.
         monkeypatch.setenv("REPRO_CONTRACTS", "0")
         _assert_protocol_parity(scenario)
 
@@ -161,35 +165,41 @@ class TestBatchTrainerParity:
             engine.run(use_case_for(build_network("mobilenet_v3")), 0)
 
     @staticmethod
-    def _count_steps(engine, monkeypatch):
-        calls = []
-        step = engine.step
+    def _run_vs_step(make_env, freeze, runs):
+        """``run(runs)`` and ``runs`` ``step`` calls on twin engines."""
+        outcome = []
+        for per_step in (True, False):
+            env = make_env()
+            engine = AutoScale(env, seed=0)
+            use_case = use_case_for(build_network("mobilenet_v3"))
+            engine.run(use_case, 60)
+            if freeze:
+                engine.freeze()
+            if per_step:
+                for _ in range(runs):
+                    engine.step(use_case)
+            else:
+                engine.run(use_case, runs)
+            outcome += [env, engine]
+        return outcome
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return step(*args, **kwargs)
+    def test_active_faults_run_matches_step(self):
+        env_s, eng_s, env_f, eng_f = self._run_vs_step(
+            lambda: EdgeCloudEnvironment(
+                build_device("mi8pro"), scenario="S1", seed=0,
+                faults=FaultPlan(abort_prob=0.2, straggler_prob=0.2),
+            ), freeze=False, runs=60)
+        assert any(step.result.failed for step in eng_f.history)
+        _assert_same_training(env_s, eng_s, env_f, eng_f)
 
-        monkeypatch.setattr(engine, "step", counted)
-        return calls
-
-    def test_active_faults_disable_fast_path(self, monkeypatch):
-        env = EdgeCloudEnvironment(
-            build_device("mi8pro"), scenario="S1", seed=0,
-            faults=FaultPlan(straggler_prob=0.2),
-        )
-        engine = AutoScale(env, seed=0)
-        calls = self._count_steps(engine, monkeypatch)
-        steps = engine.run(use_case_for(build_network("mobilenet_v3")), 5)
-        assert len(steps) == len(calls) == 5
-        assert engine.qtable.update_count == 5
-
-    def test_frozen_engine_disables_fast_path(self, monkeypatch):
-        _, engine = _build("S1")
-        engine.freeze()
-        calls = self._count_steps(engine, monkeypatch)
-        engine.run(use_case_for(build_network("mobilenet_v3")), 3)
-        assert len(calls) == 3
-        assert engine.qtable.update_count == 0
+    @pytest.mark.parametrize("scenario", ["S1", "D3"])
+    def test_frozen_engine_run_matches_step(self, scenario):
+        env_s, eng_s, env_f, eng_f = self._run_vs_step(
+            lambda: EdgeCloudEnvironment(build_device("mi8pro"),
+                                         scenario=scenario, seed=0),
+            freeze=True, runs=30)
+        assert eng_f.qtable.update_count == 60
+        _assert_same_training(env_s, eng_s, env_f, eng_f)
 
 
 #: Virtual time at which the TIMER below swaps the scenario: a few dozen
@@ -246,8 +256,8 @@ class TestKernelEventsDuringTraining:
         env_s, eng_s, fired_s = self._timer_protocol("faults", True)
         env_f, eng_f, fired_f = self._timer_protocol("faults", False)
         assert fired_s and fired_s == fired_f
-        # The first episode runs in the hoisted loop; a failure must
-        # land inside it for the test to exercise that loop.
+        # A failure must land inside the first ``run`` episode, where
+        # the observation carries across iterations.
         assert any(step.result.failed
                    for step in list(eng_f.history)[:TRAIN_RUNS])
         _assert_same_training(env_s, eng_s, env_f, eng_f)

@@ -4,9 +4,9 @@ import pytest
 
 from repro.common import ConfigError
 from repro.core.engine import AutoScale
+from repro.core.tracing import TraceRecorder, load_trace
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
-from repro.evalharness.tracing import TraceRecorder, load_trace
 from repro.hardware.devices import build_device
 
 
@@ -83,7 +83,7 @@ class TestAnalysis:
                    if key != "num_inferences")
 
     def test_all_failed_trace_keeps_rates_finite(self):
-        from repro.evalharness.tracing import TraceRecord
+        from repro.core.tracing import TraceRecord
         recorder = TraceRecorder()
         for index in range(3):
             recorder.records.append(TraceRecord(
@@ -128,7 +128,7 @@ class TestPersistence:
 
 class TestResilienceBookkeeping:
     def _record(self, **overrides):
-        from repro.evalharness.tracing import TraceRecord
+        from repro.core.tracing import TraceRecord
         fields = dict(index=0, at_ms=0.0, use_case="svc",
                       target_key="cloud/gpu/fp32", latency_ms=10.0,
                       energy_mj=5.0, estimated_energy_mj=5.0,

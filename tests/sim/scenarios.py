@@ -8,9 +8,10 @@ event heap.  These scenario runners capture exactly those observables as
 JSON-serializable dicts; ``test_parity_pins.py`` asserts fresh runs
 equal the committed fixtures byte-for-byte.
 
-Regenerate fixtures (only when an *intentional* behaviour change lands):
+Regenerate fixtures (only when an *intentional* behaviour change lands),
+all of them or the named ones:
 
-    PYTHONPATH=src:. python -m tests.sim.scenarios
+    PYTHONPATH=src:. python -m tests.sim.scenarios [NAME ...]
 
 Floats round-trip through JSON exactly (``json.dumps(float)`` emits
 ``repr``, which reparses to the identical float64), so fixture equality
@@ -21,13 +22,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
+import sys
 from dataclasses import asdict
 
 from repro.common import make_rng
+from repro.core.engine import AutoScale
 from repro.core.service import AutoScaleService
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
+from repro.evalharness.runner import adapt_engine, train_autoscale
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.resilience import ResiliencePolicy
 from repro.hardware.devices import build_device
@@ -277,6 +282,68 @@ def outage_probe():
     }
 
 
+def _training_protocol():
+    """train_autoscale over S1, S4 and D3, then adapt, faults and freeze.
+
+    Every phase goes through ``AutoScale.run``: training episodes on
+    static and dynamic scenarios, an online adaptation that stops on
+    convergence, a training episode under an active fault plan, and a
+    frozen greedy episode.
+    """
+    zoo = load_zoo()
+    cases = [use_case_for(zoo[name])
+             for name in ("mobilenet_v3", "resnet_50", "mobilebert")]
+    env = EdgeCloudEnvironment(build_device("mi8pro"), seed=808)
+    engine = AutoScale(env, seed=808)
+    train_autoscale(engine, cases, ("S1", "S4", "D3"), 60)
+    trained_converged_at = engine.convergence.converged_at
+    env.scenario = "S1"
+    env.rewind_clock()
+    adapted_converged_at = adapt_engine(engine, cases[0], max_runs=60)
+    env.faults = FaultPlan(abort_prob=0.1, straggler_prob=0.2)
+    engine.run(cases[1], 40)
+    env.faults = FaultPlan.none()
+    engine.freeze()
+    engine.run(cases[2], 30)
+    history = [
+        (step.state, step.action, step.target_key, step.reward,
+         step.explored, step.q_delta, step.result.latency_ms,
+         step.result.energy_mj, bool(step.result.failed))
+        for step in engine.history
+    ]
+    return {
+        "qtable": _qtable_digest(engine),
+        "visits_sha256": hashlib.sha256(
+            engine.qtable.visits.tobytes()).hexdigest(),
+        "visits_sum": int(engine.qtable.visits.sum()),
+        "update_count": engine.qtable.update_count,
+        "trained_converged_at": trained_converged_at,
+        "adapted_converged_at": adapted_converged_at,
+        "history_sha256": hashlib.sha256(
+            repr(history).encode()).hexdigest(),
+        "total_steps": engine.total_steps,
+        "clock_now_ms": env.clock.now_ms,
+        "env_rng_state": env.rng.bit_generator.state,
+        "engine_rng_state": engine.rng.bit_generator.state,
+    }
+
+
+def training_campaign():
+    """The training protocol with runtime contracts on, then off."""
+    previous = os.environ.get("REPRO_CONTRACTS")
+    observables = {}
+    try:
+        for mode, flag in (("contracts_on", "1"), ("contracts_off", "0")):
+            os.environ["REPRO_CONTRACTS"] = flag
+            observables[mode] = _training_protocol()
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_CONTRACTS", None)
+        else:
+            os.environ["REPRO_CONTRACTS"] = previous
+    return observables
+
+
 SCENARIOS = {
     "pipelined_overload": pipelined_overload,
     "outage_probe": outage_probe,
@@ -285,12 +352,15 @@ SCENARIOS = {
     "merged_streams": merged_streams,
     "midrun_fault_attach": midrun_fault_attach,
     "episode_rewind": episode_rewind,
+    "training_campaign": training_campaign,
 }
 
 
-def write_fixtures():
+def write_fixtures(names=()):
+    """Write the fixtures of ``names`` (default: every scenario)."""
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-    for name, runner in SCENARIOS.items():
+    for name in names or SCENARIOS:
+        runner = SCENARIOS[name]
         path = FIXTURE_DIR / f"{name}.json"
         path.write_text(json.dumps(runner(), indent=2, sort_keys=True)
                         + "\n")
@@ -298,4 +368,4 @@ def write_fixtures():
 
 
 if __name__ == "__main__":
-    write_fixtures()
+    write_fixtures(sys.argv[1:])
