@@ -4,10 +4,8 @@ from repro.env.costcache import CacheStats, NominalCostEngine, NominalSweep
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.executor import (
     NoiseConfig,
-    local_execution,
     partitioned_execution,
     pipelined_local_execution,
-    remote_execution,
 )
 from repro.env.observation import Observation
 from repro.env.presets import PRESET_BUILDERS, build_preset
@@ -45,10 +43,8 @@ __all__ = [
     "PRESET_BUILDERS",
     "build_preset",
     "NoiseConfig",
-    "local_execution",
     "partitioned_execution",
     "pipelined_local_execution",
-    "remote_execution",
     "Observation",
     "QOS_NON_STREAMING_MS",
     "QOS_STREAMING_MS",

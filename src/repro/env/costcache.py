@@ -3,24 +3,26 @@
 Every figure benchmark and the Opt oracle's footnote-8 construction sweep
 the full ~66-target action space through the nominal model for each
 observation.  Doing that one scalar :meth:`EdgeCloudEnvironment.estimate`
-call at a time re-walks every layer of the network per target, so the
-nominal model — not the learner — dominates wall-clock.  This module
+call at a time costs ~66 Python call chains per observation.  This module
 evaluates **all** targets for one ``(network, observation)`` in a single
 vectorized numpy pass:
 
-- per-``(network, role, precision, vf_index)`` nominal latencies and the
-  eq. (1)-(3) busy powers are folded into dense per-target arrays once
-  (the device/link arrays at engine construction, the network arrays on
-  the first sweep of that network);
-- a sweep then costs a handful of numpy operations over those arrays plus
-  four scalar interference-model calls, instead of ~66 Python call chains;
+- each local ``(role, precision)`` pair's per-layer term table
+  (:meth:`~repro.hardware.processor.Processor.layer_terms`) is built once
+  per network and summed by
+  :func:`~repro.hardware.processor.sum_layer_terms`, which yields every
+  V/F step's latency at once; remote compute times come from the same
+  exact per-``(network, target)`` constants ``execute`` reads;
+- a sweep then costs a handful of numpy operations plus a few scalar
+  interference-model calls, instead of ~66 Python call chains;
 - full sweep results are memoized behind a bounded LRU keyed on
   ``(network.name, discretized load, discretized RSSI)`` with hit/miss
   counters and explicit invalidation on scenario/device change.
 
-The sweep reproduces the scalar nominal model (``estimate``) to float64
-round-off — the parity suite in ``tests/env/test_costcache.py`` bounds
-the divergence at 1e-9 relative.
+The sweep, ``estimate`` and ``execute`` read one formula summed in one
+order, so a sweep equals per-target ``estimate`` calls at its
+observation bit for bit; ``tests/env/test_costcache.py`` checks it
+with ``==``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.env.executor import (
 )
 from repro.env.result import ExecutionResult
 from repro.env.target import Location
+from repro.hardware.processor import sum_layer_terms
 from repro.interference.corunner import ConstantCoRunner, CoRunnerLoad
 from repro.wireless.signal import ConstantSignal
 
@@ -50,6 +53,15 @@ __all__ = ["CacheStats", "NominalSweep", "NominalCostEngine"]
 #: (network, target, load) and (network, link, RSSI) combinations while
 #: keeping worst-case growth in dynamic scenarios bounded).
 _EXACT_CACHE_SIZE = 8192
+
+#: Bound on memoized sweeps (LRU eviction beyond it).
+_SWEEP_CACHE_SIZE = 512
+
+#: Sweep-key resolution of ``cpu_util``/``mem_util`` and of the two RSSI
+#: readings: fine enough that a hit's sweep is within measurement noise
+#: of an exact evaluation.
+_LOAD_QUANTUM = 0.02
+_RSSI_QUANTUM_DBM = 0.5
 
 
 def _readonly(values):
@@ -169,18 +181,20 @@ class NominalSweep:
 
 @dataclass(frozen=True)
 class _NetworkTable:
-    """Per-target nominal constants for one network."""
+    """Per-target constants of one network that no observation changes.
 
-    compute_ms: np.ndarray   # local compute at slowdown 1 (0 for remote)
-    dispatch_ms: np.ndarray  # local per-layer launch overhead (0 remote)
+    ``remote_ms`` (0 for local targets) is read from the engine's exact
+    per-``(network, target)`` constants, the values ``execute`` uses;
+    local latencies come from the per-layer term tables at sweep time.
+    """
+
     remote_ms: np.ndarray    # remote nominal compute (0 for local)
     accuracy_pct: np.ndarray
     input_bytes: float
     output_bytes: float
 
     def __post_init__(self):
-        for name in ("compute_ms", "dispatch_ms", "remote_ms",
-                     "accuracy_pct"):
+        for name in ("remote_ms", "accuracy_pct"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"non-finite network table {name}")
         if self.input_bytes <= 0 or self.output_bytes <= 0:
@@ -193,28 +207,17 @@ class NominalCostEngine:
     Args:
         environment: the :class:`EdgeCloudEnvironment` to mirror.  The
             engine snapshots the device/remote/link topology at
-            construction; call :meth:`rebuild` if any of those change.
-        cache_size: bound on memoized sweeps (LRU eviction beyond it).
-        load_quantum: cache-key resolution for ``cpu_util``/``mem_util``.
-        rssi_quantum_dbm: cache-key resolution for the two RSSI readings.
+            construction; a changed topology needs a new engine.
 
     A cache hit returns the sweep computed for the *first* observation
-    that landed in the key's bin, so the quanta bound the staleness of a
-    hit; both default fine enough that the returned sweep is within
-    measurement noise of an exact evaluation.  ``use_cache=False`` always
-    evaluates exactly.
+    that landed in the key's bin, so the quanta (``_LOAD_QUANTUM``,
+    ``_RSSI_QUANTUM_DBM``) bound the staleness of a hit.  Call
+    :meth:`invalidate` before a sweep that must be exact at its own
+    observation.
     """
 
-    def __init__(self, environment, cache_size=512, load_quantum=0.02,
-                 rssi_quantum_dbm=0.5):
-        if cache_size < 1:
-            raise ConfigError(f"cache_size must be >= 1, got {cache_size}")
-        if load_quantum <= 0 or rssi_quantum_dbm <= 0:
-            raise ConfigError("cache quanta must be positive")
+    def __init__(self, environment):
         self._environment = environment
-        self._cache_capacity = int(cache_size)
-        self._load_quantum = float(load_quantum)
-        self._rssi_quantum_dbm = float(rssi_quantum_dbm)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -225,20 +228,11 @@ class NominalCostEngine:
         self._exact_links: "OrderedDict" = OrderedDict()
         self._layer_terms: Dict[Tuple, np.ndarray] = {}
         self._per_target: Dict[str, list] = {}
-        self.rebuild()
-
-    # ------------------------------------------------------------------
-    # Static (device/link) tables
-    # ------------------------------------------------------------------
-
-    def rebuild(self):
-        """Re-snapshot the environment topology and drop every cache."""
-        env = self._environment
-        self._targets = tuple(env.targets())
-        device = env.device
+        self._targets = tuple(environment.targets())
+        device = environment.device
         count = len(self._targets)
         kinds = []
-        kind_codes = np.zeros(count, dtype=int)
+        groups: Dict[Tuple, tuple] = {}
         target_busy_mw = np.zeros(count)
         idle_overhead_power_mw = np.zeros(count)
         local_indices, cloud_indices, connected_indices = [], [], []
@@ -248,7 +242,10 @@ class NominalCostEngine:
                 proc = device.soc.processor(target.role)
                 if proc.kind not in kinds:
                     kinds.append(proc.kind)
-                kind_codes[index] = kinds.index(proc.kind)
+                _, indices, vf_indices = groups.setdefault(
+                    (target.role, target.precision), (proc, [], []))
+                indices.append(index)
+                vf_indices.append(target.vf_index)
                 target_busy_mw[index] = busy_power_mw(proc, target.vf_index)
                 if target.role != "cpu":
                     idle_overhead_power_mw[index] = \
@@ -260,7 +257,14 @@ class NominalCostEngine:
                     connected_indices.append(index)
                 idle_overhead_power_mw[index] = device.soc.cpu.idle_power_mw
         self._kinds = tuple(kinds)
-        self._kind_codes = kind_codes
+        # One entry per local (role, precision): its term table's sum
+        # covers every V/F step, which ``vf_indices`` then picks from.
+        self._local_groups = tuple(
+            (role, precision, proc.dispatch_ms, kinds.index(proc.kind),
+             np.array(indices, dtype=int), np.array(vf_indices, dtype=int))
+            for (role, precision), (proc, indices, vf_indices)
+            in groups.items()
+        )
         self._busy_power_mw_by_target = target_busy_mw
         self._idle_overhead_power_mw = idle_overhead_power_mw
         self._platform_power_mw = device.soc.platform_idle_mw
@@ -281,44 +285,19 @@ class NominalCostEngine:
         return table
 
     def _build_network_table(self, network):
-        env = self._environment
-        device = env.device
+        accuracy = self._environment.accuracy
         count = len(self._targets)
-        compute_ms = np.zeros(count)
-        dispatch_ms = np.zeros(count)
         remote_ms = np.zeros(count)
         accuracy_pct = np.zeros(count)
-        # One layer walk per (role, precision); V/F steps reuse it.
-        weighted_ms_cache: Dict[Tuple[str, object], float] = {}
         for index, target in enumerate(self._targets):
-            accuracy_pct[index] = env.accuracy.lookup(network.name,
-                                                      target.precision)
-            if target.location is Location.LOCAL:
-                proc = device.soc.processor(target.role)
-                slot = (target.role, target.precision)
-                weighted_ms = weighted_ms_cache.get(slot)
-                if weighted_ms is None:
-                    weighted_ms = sum(
-                        (layer.macs / 1e9)
-                        / proc.layer_efficiency.get(layer.kind, 0.5)
-                        * 1000.0
-                        for layer in network.layers
-                    )
-                    weighted_ms_cache[slot] = weighted_ms
-                compute_ms[index] = weighted_ms / proc.throughput_gmacs(
-                    target.precision, target.vf_index
-                )
-                dispatch_ms[index] = proc.dispatch_ms * len(network.layers)
-            else:
-                remote = env.cloud if target.location is Location.CLOUD \
-                    else env.connected
-                remote_proc = remote.soc.processor(target.role)
-                remote_ms[index] = remote_proc.network_latency_ms(
-                    network, target.precision
-                )
+            accuracy_pct[index] = accuracy.lookup(network.name,
+                                                  target.precision)
+            # Local targets' constants are not minted here: a sweep
+            # reads their term tables directly, and an entry per target
+            # that is never executed only costs memory.
+            if target.location is not Location.LOCAL:
+                remote_ms[index] = self._constants(network, target)[1]
         return _NetworkTable(
-            compute_ms=_readonly(compute_ms),
-            dispatch_ms=_readonly(dispatch_ms),
             remote_ms=_readonly(remote_ms),
             accuracy_pct=_readonly(accuracy_pct),
             input_bytes=network.input_bytes,
@@ -330,10 +309,9 @@ class NominalCostEngine:
     # ------------------------------------------------------------------
     #
     # Unlike the sweeps below — which are keyed on *discretized*
-    # observations and whose vectorized arithmetic agrees with the scalar
-    # model only to ~1e-9 relative — these caches key on the **exact**
-    # observation values and reproduce the layer-walk reference
-    # (``local_execution``/``remote_execution``) bit for bit.  A hit is
+    # observations — these caches key on the **exact** observation
+    # values, and their values are the per-layer sums of
+    # ``repro.hardware.processor`` bit for bit.  A hit is
     # therefore bit-identical to recomputation, which is what lets
     # ``EdgeCloudEnvironment.execute``/``estimate`` read them on every
     # request.  A load-keyed entry is stored only while the co-runner is
@@ -343,11 +321,11 @@ class NominalCostEngine:
     # entries are pure deterministic functions of the topology, they
     # deliberately survive ``reset()``/reseeds (a replayed episode would
     # recompute exactly the same values) and are only dropped when the
-    # topology or the network definitions change (``rebuild`` /
-    # ``invalidate(network_tables=True)``), together with the per-target
-    # finishers and their last inputs.  That persistence is what makes
-    # fold-level environment reuse in the LOO protocol profitable: every
-    # fold after the first trains against a warm cache.
+    # network definitions change (``invalidate(network_tables=True)``),
+    # together with the per-target finishers and their last inputs.
+    # That persistence is what makes fold-level environment reuse in
+    # the LOO protocol profitable: every fold after the first trains
+    # against a warm cache.
 
     def finishing_inputs(self, network, target, observation):
         """``(finish, args)`` for one request: ``finish(*args, jitters)``.
@@ -398,7 +376,8 @@ class NominalCostEngine:
 
         ``(accuracy_pct, proc, terms_column)`` for a local target, where
         ``terms_column`` is its V/F step's column of :meth:`_terms_for`;
-        ``(accuracy_pct, remote_nominal_ms)`` for a remote one.
+        ``(accuracy_pct, remote_nominal_ms)`` for a remote one, whose
+        processor runs at its top V/F step, unslowed.
         """
         key = (network.name, target.key)
         constants = self._exact_constants.get(key)
@@ -408,57 +387,38 @@ class NominalCostEngine:
         accuracy_pct = env.accuracy.lookup(network.name, target.precision)
         if target.location is Location.LOCAL:
             proc = env.device.soc.processor(target.role)
-            terms = self._terms_for("local", proc, network, target.precision)
+            terms = self._terms_for(target.role, network, target.precision)
             constants = (accuracy_pct, proc, terms[:, target.vf_index])
         else:
-            is_cloud = target.location is Location.CLOUD
-            remote = env.cloud if is_cloud else env.connected
-            remote_proc = remote.soc.processor(target.role)
-            terms = self._terms_for("cloud" if is_cloud else "edge",
-                                    remote_proc, network, target.precision)
-            # Scalar default: last V/F step, slowdown 1.0 (an exact no-op).
-            constants = (accuracy_pct, sum(
-                (terms[:, -1] * 1.0 + remote_proc.dispatch_ms).tolist()
-            ))
+            remote, _ = env._remote_setup(target)
+            constants = (accuracy_pct,
+                         remote.soc.processor(target.role).layers_latency_ms(
+                             network.layers, target.precision))
         self._exact_constants[key] = constants
         return constants
 
-    def _terms_for(self, host_tag, proc, network, precision):
-        """Per-layer compute terms for every V/F step, as a 2-D table.
+    def _terms_for(self, role, network, precision):
+        """The local ``role``'s ``Processor.layer_terms`` table, cached.
 
-        ``terms[layer, vf]`` is the scalar model's per-layer
-        ``compute_ms`` before the slowdown multiply, so the scalar
-        ``network_latency_ms(network, precision, vf, slowdown)`` equals
-        ``sum((terms[:, vf] * slowdown + proc.dispatch_ms).tolist())``
-        **bit-for-bit**: the table is built with element-wise float64
-        ops (each term is the identical IEEE chain the scalar layer walk
-        evaluates), and summing the ``tolist()`` sequence preserves the
-        scalar walk's left-to-right accumulation order.  One table build
-        replaces ``num_vf_steps`` full layer walks.
+        ``terms[layer, vf]`` for ``network`` at ``precision``; one table
+        serves every V/F step of the pair, in ``execute`` and the sweep.
         """
-        key = (host_tag, proc.kind, network.name, precision)
+        key = (role, network.name, precision)
         terms = self._layer_terms.get(key)
         if terms is None:
-            macs = np.array([layer.macs for layer in network.layers],
-                            dtype=np.float64)
-            efficiency = np.array(
-                [proc.layer_efficiency.get(layer.kind, 0.5)
-                 for layer in network.layers], dtype=np.float64)
-            throughput = np.array(
-                [proc.throughput_gmacs(precision, vf)
-                 for vf in range(proc.num_vf_steps)], dtype=np.float64)
-            terms = ((macs / 1e9)[:, None]
-                     / (throughput[None, :] * efficiency[:, None])
-                     * 1000.0)
-            self._layer_terms[key] = terms
+            proc = self._environment.device.soc.processor(role)
+            terms = self._layer_terms[key] = proc.layer_terms(
+                network.layers, precision)
         return terms
 
     def local_nominal(self, network, target, observation, constants):
         """``(nominal_ms, slowdown)`` for one local target.
 
-        Bit-identical to what :func:`~repro.env.executor.local_execution`
-        computes with its layer walk; keyed on the exact co-runner load.
-        ``constants`` is the target's :meth:`_constants` entry.
+        The target's term column summed by
+        :func:`~repro.hardware.processor.sum_layer_terms`, i.e.
+        ``layers_latency_ms`` of the whole network bit for bit; keyed on
+        the exact co-runner load.  ``constants`` is the target's
+        :meth:`_constants` entry.
         """
         store = self._store_load
         if store:
@@ -473,7 +433,7 @@ class NominalCostEngine:
         # to the same ranges), so it serves as the load directly.
         slowdown = self._environment.interference.slowdown(proc.kind,
                                                            observation)
-        entry = (sum((column * slowdown + proc.dispatch_ms).tolist()),
+        entry = (float(sum_layer_terms(column, slowdown, proc.dispatch_ms)),
                  slowdown)
         if store:
             self._exact_local[key] = entry
@@ -514,10 +474,8 @@ class NominalCostEngine:
     # Sweeps
     # ------------------------------------------------------------------
 
-    def sweep(self, network, observation, use_cache=True):
+    def sweep(self, network, observation):
         """All-target nominal results for one ``(network, observation)``."""
-        if not use_cache:
-            return self._evaluate(network, observation)
         key = self._cache_key(network.name, observation)
         cached = self._sweeps.get(key)
         if cached is not None:
@@ -527,7 +485,7 @@ class NominalCostEngine:
         self.misses += 1
         fresh = self._evaluate(network, observation)
         self._sweeps[key] = fresh
-        if len(self._sweeps) > self._cache_capacity:
+        if len(self._sweeps) > _SWEEP_CACHE_SIZE:
             self._sweeps.popitem(last=False)
             self.evictions += 1
         return fresh
@@ -535,10 +493,10 @@ class NominalCostEngine:
     def _cache_key(self, network_name, observation):
         return (
             network_name,
-            int(round(observation.cpu_util / self._load_quantum)),
-            int(round(observation.mem_util / self._load_quantum)),
-            int(round(observation.rssi_wlan_dbm / self._rssi_quantum_dbm)),
-            int(round(observation.rssi_p2p_dbm / self._rssi_quantum_dbm)),
+            int(round(observation.cpu_util / _LOAD_QUANTUM)),
+            int(round(observation.mem_util / _LOAD_QUANTUM)),
+            int(round(observation.rssi_wlan_dbm / _RSSI_QUANTUM_DBM)),
+            int(round(observation.rssi_p2p_dbm / _RSSI_QUANTUM_DBM)),
         )
 
     def _evaluate(self, network, observation):
@@ -554,12 +512,14 @@ class NominalCostEngine:
 
         local = self._local_indices
         if local.size:
-            slowdown_by_kind = np.array([
-                interference.slowdown(kind, load) for kind in self._kinds
-            ])
-            slowdown = slowdown_by_kind[self._kind_codes[local]]
-            local_latency_ms = (table.compute_ms[local] * slowdown
-                                + table.dispatch_ms[local])
+            slowdown_by_kind = [interference.slowdown(kind, load)
+                                for kind in self._kinds]
+            for (role, precision, dispatch_ms, kind_code, indices,
+                 vf_indices) in self._local_groups:
+                latency_ms[indices] = sum_layer_terms(
+                    self._terms_for(role, network, precision),
+                    slowdown_by_kind[kind_code], dispatch_ms)[vf_indices]
+            local_latency_ms = latency_ms[local]
             busy_mj = (self._busy_power_mw_by_target[local]
                        * local_latency_ms / 1000.0)
             overhead_mj = (
@@ -568,7 +528,6 @@ class NominalCostEngine:
                 * local_latency_ms / 1000.0
             )
             contention = _contention_power_factor(load)
-            latency_ms[local] = local_latency_ms
             estimated_energy_mj[local] = busy_mj + overhead_mj
             energy_mj[local] = busy_mj * contention + overhead_mj
 
@@ -620,7 +579,7 @@ class NominalCostEngine:
         changed (a different zoo build reusing a name).  The exact
         nominal-component caches and per-target finishers (with their
         last inputs) are deterministic, so a plain reseed keeps them; only
-        ``network_tables=True`` (and :meth:`rebuild`) drops them too.
+        ``network_tables=True`` drops them too.
         """
         # Which exact caches this scenario may grow (indexed by
         # ``is_cloud`` for the links); see the section comment above.
@@ -644,5 +603,5 @@ class NominalCostEngine:
             misses=self.misses,
             evictions=self.evictions,
             size=len(self._sweeps),
-            capacity=self._cache_capacity,
+            capacity=_SWEEP_CACHE_SIZE,
         )

@@ -295,8 +295,7 @@ class EdgeCloudEnvironment:
         (:func:`~repro.env.executor.jitter_slots`), all in one
         ``standard_normal(k)`` call, and the target's
         finisher applies eq. (1)-(4).  The result is bit-identical to
-        the layer-walk reference (``local_execution``/
-        ``remote_execution``) with the same RNG.
+        the layer-walk reference in the test suite with the same RNG.
 
         With an active fault plan, a remote attempt may come back as a
         :class:`~repro.faults.FailedAttempt` that bills the energy the
@@ -352,18 +351,17 @@ class EdgeCloudEnvironment:
                                                           observation)
         return finish(*args, _UNIT_JITTERS[target.is_remote])
 
-    def estimate_all(self, network, observation, use_cache=True):
+    def estimate_all(self, network, observation):
         """Nominal model for **every** target in one vectorized pass.
 
         Returns a :class:`~repro.env.costcache.NominalSweep` whose arrays
-        are index-aligned with ``targets()`` and agree with per-target
-        :meth:`estimate` calls to float64 round-off.  Sweeps are memoized
-        on ``(network.name, discretized load, discretized RSSI)``; pass
-        ``use_cache=False`` to force an exact evaluation at this
-        observation.
+        are index-aligned with ``targets()`` and equal per-target
+        :meth:`estimate` calls bit for bit at the observation that
+        computed them.  Sweeps are memoized on ``(network.name,
+        discretized load, discretized RSSI)``: a hit returns the sweep
+        of the first observation in its bin.
         """
-        return self._cost_engine.sweep(network, observation,
-                                       use_cache=use_cache)
+        return self._cost_engine.sweep(network, observation)
 
     @property
     def cost_engine(self):
@@ -376,9 +374,20 @@ class EdgeCloudEnvironment:
 
     def execute_split(self, network, split_point, local_target,
                       remote_target, observation=None, deterministic=False):
-        """NeuroSurgeon-style split execution (head local, tail remote)."""
+        """NeuroSurgeon-style split execution (head local, tail remote).
+
+        A split at 0 (everything remote) or at the last layer (everything
+        local) is a whole-model run: it goes through :meth:`execute`, or
+        :meth:`estimate` when ``deterministic``, like any other
+        whole-model target (an active fault plan included).
+        """
         if observation is None:
             observation = self.observe()
+        if split_point in (0, len(network.layers)):
+            target = local_target if split_point else remote_target
+            if deterministic:
+                return self.estimate(network, target, observation)
+            return self.execute(network, target, observation)
         rng = None if deterministic else self.rng
         remote, link = self._remote_setup(remote_target)
         result = partitioned_execution(

@@ -21,9 +21,9 @@ The whole-model eq. (1)-(4) arithmetic lives in exactly one place per
 location: :func:`local_finisher` and :func:`remote_finisher`, which turn
 nominal components plus jitters into an :class:`ExecutionResult`.
 :meth:`EdgeCloudEnvironment.execute` feeds them nominals from the cost
-engine's exact caches; :func:`local_execution` and
-:func:`remote_execution` are the layer-walk reference that computes the
-nominals from scratch and calls the same finishers.
+engine's exact caches; the NeuroSurgeon and MOSAIC executors below time
+their segments with ``Processor.layers_latency_ms``, the same per-layer
+sum.  The layer-walk reference lives in ``tests/env/layer_walk.py``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
     "jitter_slots",
     "local_finisher",
     "remote_finisher",
-    "local_execution",
-    "remote_execution",
     "partitioned_execution",
     "pipelined_local_execution",
 ]
@@ -243,68 +241,6 @@ def remote_finisher(device, link, target):
     return finish
 
 
-def local_execution(device, network, target, load, interference,
-                    accuracy_table, rng=None, noise=NoiseConfig()):
-    """Run an inference entirely on one of the device's processors.
-
-    The layer-walk reference: computes the nominal latency with a full
-    per-layer walk, then finishes through :func:`local_finisher`.
-    """
-    if target.location is not Location.LOCAL:
-        raise ConfigError(f"{target} is not a local target")
-    proc = device.soc.processor(target.role)
-    slowdown = interference.slowdown(proc.kind, load)
-    nominal_ms = proc.network_latency_ms(
-        network, target.precision, target.vf_index, slowdown
-    )
-    # Pinned draw order: latency, then power.
-    jitters = (_jitter(rng, noise.latency_sigma),
-               _jitter(rng, noise.power_sigma))
-    return local_finisher(device, proc, target)(
-        nominal_ms, slowdown, load,
-        accuracy_table.lookup(network.name, target.precision), jitters,
-    )
-
-
-def remote_execution(device, remote, network, target, link, rssi_dbm,
-                     accuracy_table, rng=None, noise=NoiseConfig(),
-                     load=None, interference=None):
-    """Offload a whole inference to the cloud or a connected edge device.
-
-    The phone transmits the (compressed) input, idles while the remote
-    device computes, and receives the result.  Only the *phone's* energy is
-    accounted, as in the paper's Monsoon-based methodology.  Co-runner
-    load on the phone slows the radio path (the network stack runs on the
-    contended CPU) when ``load``/``interference`` are provided.
-
-    The layer-walk reference: computes every nominal from scratch, then
-    finishes through :func:`remote_finisher`.
-    """
-    if not target.is_remote:
-        raise ConfigError(f"{target} is not a remote target")
-    tx_slow = (interference.transmission_slowdown(load)
-               if interference is not None and load is not None else 1.0)
-    remote_proc = remote.soc.processor(target.role)
-    remote_nominal_ms = remote_proc.network_latency_ms(network,
-                                                       target.precision)
-    tx_base_ms = link.transfer_ms(network.input_bytes, rssi_dbm)
-    rx_base_ms = link.transfer_ms(network.output_bytes, rssi_dbm)
-    rtt_base_ms = link.effective_rtt_ms(rssi_dbm)
-    # Pinned draw order: server, tx, rx, rtt, power.
-    jitters = (
-        _jitter(rng, noise.server_sigma),
-        _jitter(rng, noise.network_sigma),
-        _jitter(rng, noise.network_sigma),
-        _jitter(rng, noise.network_sigma),
-        _jitter(rng, noise.power_sigma),
-    )
-    return remote_finisher(device, link, target)(
-        remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms, tx_slow,
-        link.tx_power_mw(rssi_dbm),
-        accuracy_table.lookup(network.name, target.precision), jitters,
-    )
-
-
 def partitioned_execution(device, remote, network, split_point,
                           local_target, remote_target, link, rssi_dbm,
                           load, interference, accuracy_table,
@@ -312,18 +248,18 @@ def partitioned_execution(device, remote, network, split_point,
     """Layer-granularity split: head runs locally, tail remotely.
 
     This is the execution model of the NeuroSurgeon baseline.  The wire
-    payload is the output activation of the last local layer (or the
-    compressed input for ``split_point == 0``); a split at the final layer
-    degenerates to pure local execution.
+    payload is the output activation of the last local layer.  Both
+    halves must be non-empty: a split at 0 or at the final layer is a
+    whole-model offload or local run, which
+    :meth:`~repro.env.environment.EdgeCloudEnvironment.execute_split`
+    sends through ``execute``.
     """
     head, tail = network.split(split_point)
-    if not tail:
-        return local_execution(device, network, local_target, load,
-                               interference, accuracy_table, rng, noise)
-    if not head:
-        return remote_execution(device, remote, network, remote_target,
-                                link, rssi_dbm, accuracy_table, rng, noise,
-                                load=load, interference=interference)
+    if not head or not tail:
+        raise ConfigError(
+            f"split point {split_point} leaves one side empty; run the "
+            "whole model through execute instead"
+        )
 
     proc = device.soc.processor(local_target.role)
     slowdown = interference.slowdown(proc.kind, load)

@@ -135,7 +135,7 @@ def _run_suite(device_name, network_names, scenarios, config,
     # --- AutoScale: leave-one-out across the networks --------------------
     # One environment serves every fold: each fold re-arms it (fresh RNG
     # stream, scenario + clock reset) while the exact nominal-component
-    # caches stay warm, so folds after the first skip the layer walks.
+    # caches stay warm, so folds after the first skip the table builds.
     episodes = []
     loo_env = EdgeCloudEnvironment(build_device(device_name),
                                    scenario=scenarios[0], seed=seed)

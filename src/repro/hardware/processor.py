@@ -13,20 +13,26 @@ Latency of a layer on a processor at a chosen V/F step and precision:
 
 where ``dispatch`` is a fixed per-layer launch overhead (kernel launches on
 co-processors are much more expensive than function calls on the CPU).
+
+:meth:`Processor.layer_terms` tabulates it for every layer and V/F step
+and :func:`sum_layer_terms` sums it left to right; every nominal latency
+in the repository is that one sum, so they all agree bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.common import ConfigError
 from repro.hardware.dvfs import VFStep
-from repro.models.layers import LayerType
+from repro.models.layers import Layer, LayerType
 from repro.models.quantization import Precision
 
-__all__ = ["ProcessorKind", "Processor"]
+__all__ = ["ProcessorKind", "Processor", "sum_layer_terms"]
 
 
 class ProcessorKind(enum.Enum):
@@ -187,35 +193,44 @@ class Processor:
         vf_scale = step.freq_mhz / self.max_freq_mhz
         return self.peak_gmacs * vf_scale * self.precisions[precision]
 
-    def layer_latency_ms(self, layer, precision, vf_index=-1,
-                         slowdown=1.0):
-        """Latency of one layer, including dispatch overhead.
+    def layer_terms(self, layers: Sequence[Layer],
+                    precision: Precision) -> np.ndarray:
+        """``terms[layer, vf]``: compute ms before slowdown and dispatch.
+
+        One IEEE operation chain for every entry; sum the table (or one
+        of its columns) with :func:`sum_layer_terms`.
+        """
+        if not layers:
+            raise ConfigError(f"{self.name}: no layers to time")
+        macs = np.array([layer.macs for layer in layers], dtype=np.float64)
+        efficiency = np.array(
+            [self.layer_efficiency.get(layer.kind, 0.5) for layer in layers],
+            dtype=np.float64)
+        throughput = np.array(
+            [self.throughput_gmacs(precision, vf)
+             for vf in range(self.num_vf_steps)], dtype=np.float64)
+        return ((macs / 1e9)[:, None]
+                / (throughput[None, :] * efficiency[:, None])
+                * 1000.0)
+
+    def layers_latency_ms(self, layers, precision, vf_index=-1,
+                          slowdown=1.0):
+        """Latency of a layer slice (a whole network's ``layers`` too).
 
         ``slowdown`` >= 1 multiplies the compute time; the interference
         model uses it to express contention and thermal throttling.
         """
         if slowdown < 1.0:
             raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
-        efficiency = self.layer_efficiency.get(layer.kind, 0.5)
-        gmacs_per_s = self.throughput_gmacs(precision, vf_index) * efficiency
-        compute_ms = (layer.macs / 1e9) / gmacs_per_s * 1000.0
-        return compute_ms * slowdown + self.dispatch_ms
+        return float(sum_layer_terms(
+            self.layer_terms(layers, precision)[:, vf_index], slowdown,
+            self.dispatch_ms))
 
-    def network_latency_ms(self, network, precision, vf_index=-1,
-                           slowdown=1.0):
-        """Latency of a full network (sum over layers)."""
-        return sum(
-            self.layer_latency_ms(layer, precision, vf_index, slowdown)
-            for layer in network.layers
-        )
-
-    def layers_latency_ms(self, layers, precision, vf_index=-1,
-                          slowdown=1.0):
-        """Latency of an arbitrary layer slice (partitioned execution)."""
-        return sum(
-            self.layer_latency_ms(layer, precision, vf_index, slowdown)
-            for layer in layers
-        )
+    def layer_latency_ms(self, layer, precision, vf_index=-1,
+                         slowdown=1.0):
+        """Latency of one layer, including dispatch overhead."""
+        return self.layers_latency_ms((layer,), precision, vf_index,
+                                      slowdown)
 
     # ------------------------------------------------------------------
     # Power helpers (used by the eq. 1-3 energy models in ``power.py``)
@@ -235,3 +250,14 @@ class Processor:
         )
         dynamic = self.busy_power_mw - self.idle_power_mw
         return self.idle_power_mw + dynamic * scale
+
+
+def sum_layer_terms(terms: np.ndarray, slowdown: float,
+                    dispatch_ms: float) -> Union[float, np.ndarray]:
+    """Sum of ``term * slowdown + dispatch_ms`` over the layer axis.
+
+    Strictly left to right (``np.add.accumulate``, unlike the pairwise
+    ``np.sum`` or CPython 3.12+'s compensated ``sum``).  A column gives
+    one total; a ``[layer, vf]`` table gives one per V/F step.
+    """
+    return np.add.accumulate(terms * slowdown + dispatch_ms, axis=0)[-1]

@@ -11,7 +11,8 @@ scenario or the fault plan mid-episode.  Because both share one body,
 ``run`` is also pinned against the parent's independent loop by the
 ``training_campaign`` fixture in ``tests/sim``.
 ``EdgeCloudEnvironment.execute`` (cached nominals) is held to the same
-contract against the layer-walk reference executors.
+contract against the test-side layer-walk reference executors
+(``tests/env/layer_walk.py``).
 """
 
 import dataclasses
@@ -22,7 +23,6 @@ import pytest
 from repro.common import ConfigError
 from repro.core.engine import AutoScale
 from repro.env.environment import EdgeCloudEnvironment
-from repro.env.executor import local_execution, remote_execution
 from repro.env.qos import use_case_for
 from repro.env.target import Location
 from repro.evalharness.runner import (
@@ -35,6 +35,7 @@ from repro.hardware.devices import build_device
 from repro.interference.corunner import CoRunnerLoad
 from repro.models.zoo import build_network
 from repro.sim.events import EventKind
+from tests.env.layer_walk import local_execution, remote_execution
 
 TRAIN_NETWORKS = ("mobilenet_v3", "resnet_50")
 TRAIN_RUNS = 80

@@ -5,17 +5,19 @@ import pytest
 
 from repro.baselines.oracle import OptOracle
 from repro.common import UnknownKeyError, make_rng
+from repro.env import costcache
 from repro.env.costcache import NominalCostEngine
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.executor import NoiseConfig
 from repro.env.observation import Observation
 from repro.env.qos import use_case_for
 from repro.hardware.devices import PHONE_NAMES, build_device
+from repro.models.zoo import NETWORK_NAMES
 
-#: Relative divergence budget between the vectorized sweep and scalar
-#: ``estimate`` — the acceptance criterion is 1e-9; the arrays only
-#: reorder float64 sums, so the observed gap is ~1e-15.
-PARITY_RTOL = 1e-9
+# The sweep and ``estimate`` sum one per-layer term table in one order,
+# so every comparison below is ``==``.  A test that needs the sweep of
+# its own observation (not of an earlier one in the same cache bin)
+# calls ``cost_engine.invalidate()`` first.
 
 _RESULT_FIELDS = ("latency_ms", "energy_mj", "estimated_energy_mj",
                   "accuracy_pct")
@@ -31,39 +33,37 @@ def _random_observation(rng):
 
 
 class TestSweepParity:
-    def test_matches_scalar_estimate_per_target(self, env, zoo):
-        """Every sweep column agrees with scalar estimate <= 1e-9 rel."""
+    def test_matches_scalar_estimate_per_target(self, zoo):
+        """Every sweep column equals scalar estimate, bit for bit, for
+        every target of every device and network."""
         rng = make_rng(11)
-        networks = [zoo[name] for name in
-                    ("mobilenet_v3", "inception_v1", "resnet_50",
-                     "mobilebert")]
-        for network in networks:
-            for _ in range(3):
-                observation = _random_observation(rng)
-                sweep = env.estimate_all(network, observation,
-                                         use_cache=False)
-                for index, target in enumerate(env.targets()):
-                    scalar = env.estimate(network, target, observation)
-                    for field in _RESULT_FIELDS:
-                        want = getattr(scalar, field)
-                        have = float(getattr(sweep, field)[index])
-                        assert have == pytest.approx(want,
-                                                     rel=PARITY_RTOL), (
-                            f"{network.name} {target.key} {field}"
-                        )
+        for device_name in (*PHONE_NAMES, "mi8pro_npu"):
+            env = EdgeCloudEnvironment(build_device(device_name), seed=0)
+            for name in NETWORK_NAMES:
+                network = zoo[name]
+                for _ in range(3):
+                    observation = _random_observation(rng)
+                    env.cost_engine.invalidate()
+                    sweep = env.estimate_all(network, observation)
+                    for index, target in enumerate(env.targets()):
+                        scalar = env.estimate(network, target, observation)
+                        for field in _RESULT_FIELDS:
+                            assert (float(getattr(sweep, field)[index])
+                                    == getattr(scalar, field)), (
+                                f"{device_name} {name} {target.key} {field}"
+                            )
 
     def test_result_for_reconstructs_execution_result(self, env, zoo):
         observation = env.observe()
         network = zoo["mobilenet_v3"]
-        sweep = env.estimate_all(network, observation, use_cache=False)
+        env.cost_engine.invalidate()
+        sweep = env.estimate_all(network, observation)
         target = env.targets()[7]
         scalar = env.estimate(network, target, observation)
         batched = sweep.result_for(target)
         assert batched.target_key == scalar.target_key
         for field in _RESULT_FIELDS:
-            assert getattr(batched, field) == pytest.approx(
-                getattr(scalar, field), rel=PARITY_RTOL
-            )
+            assert getattr(batched, field) == getattr(scalar, field)
 
     def test_index_of_unknown_target_raises(self, env, zoo):
         sweep = env.estimate_all(zoo["mobilenet_v3"], env.observe())
@@ -89,14 +89,15 @@ class TestExecuteEstimateParity:
         )
         network = zoo["mobilenet_v3"]
         observation = env.observe()
-        sweep = env.estimate_all(network, observation, use_cache=False)
+        env.cost_engine.invalidate()
+        sweep = env.estimate_all(network, observation)
         for index, target in enumerate(env.targets()):
             executed = env.execute(network, target, observation)
             estimated = env.estimate(network, target, observation)
             assert executed.latency_ms == estimated.latency_ms, target.key
-            assert executed.latency_ms == pytest.approx(
-                float(sweep.latency_ms[index]), rel=PARITY_RTOL
-            )
+            for field in _RESULT_FIELDS:
+                assert (float(getattr(sweep, field)[index])
+                        == getattr(executed, field)), (target.key, field)
 
 
 def _scalar_oracle_target(env, use_case, observation):
@@ -135,8 +136,8 @@ class TestOracleEquivalence:
 
     def test_argbest_subset_matches_full_search_semantics(self, env, zoo):
         use_case = use_case_for(zoo["inception_v1"])
-        sweep = env.estimate_all(use_case.network, env.observe(),
-                                 use_cache=False)
+        env.cost_engine.invalidate()
+        sweep = env.estimate_all(use_case.network, env.observe())
         best = sweep.argbest(use_case)
         all_indices = list(range(len(sweep)))
         assert sweep.argbest(use_case, indices=all_indices) == best
@@ -166,13 +167,6 @@ class TestCache:
         first = env.estimate_all(network, base)
         assert env.estimate_all(network, nudged) is first
 
-    def test_use_cache_false_bypasses_memoization(self, env, zoo):
-        network = zoo["mobilenet_v3"]
-        observation = env.observe()
-        env.estimate_all(network, observation, use_cache=False)
-        stats = env.cost_engine.stats()
-        assert stats.hits == 0 and stats.misses == 0 and stats.size == 0
-
     def test_reset_with_seed_invalidates(self, env, zoo):
         network = zoo["mobilenet_v3"]
         observation = env.observe()
@@ -194,9 +188,11 @@ class TestCache:
         env.scenario = "S2"
         assert env.cost_engine.stats().size == 0
 
-    def test_lru_eviction_is_bounded(self, mi8pro_device, zoo):
+    def test_lru_eviction_is_bounded(self, mi8pro_device, zoo,
+                                     monkeypatch):
+        monkeypatch.setattr(costcache, "_SWEEP_CACHE_SIZE", 2)
         env = EdgeCloudEnvironment(mi8pro_device, seed=0)
-        engine = NominalCostEngine(env, cache_size=2)
+        engine = NominalCostEngine(env)
         network = zoo["mobilenet_v3"]
         rssi_levels = (-50.0, -60.0, -70.0)
         for rssi_dbm in rssi_levels:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import ConfigError
 from repro.env.environment import EdgeCloudEnvironment
+from repro.env.executor import partitioned_execution
 from repro.env.target import ExecutionTarget, Location
 from repro.hardware.devices import build_device
 from repro.models.quantization import Precision
@@ -121,3 +122,83 @@ class TestLayerGranularity:
                               env.device.soc.cpu.num_vf_steps - 1)
         result = env.execute_pipelined(net, [(len(net.layers), cpu)])
         assert result.target_key.startswith("mosaic[")
+
+
+def _split_targets(env):
+    """NeuroSurgeon's pair: the local CPU at FP32, top V/F, and the
+    cloud GPU."""
+    local = ExecutionTarget(Location.LOCAL, "cpu", Precision.FP32,
+                            env.device.soc.cpu.num_vf_steps - 1)
+    return local, ExecutionTarget(Location.CLOUD, "gpu", Precision.FP32)
+
+
+class TestEndPointSplits:
+    """A split at 0 or at the last layer is a whole-model run: it goes
+    through ``execute`` (``estimate`` when deterministic), so a whole
+    offload under a co-runner pays the same radio slowdown as any other."""
+
+    @staticmethod
+    def _assert_split_is_whole_run(zoo, at_end, scenario):
+        """``execute_split`` and ``execute`` on identically seeded
+        environments: every result field, the clock and the RNG."""
+        network = zoo["inception_v1"]
+        point = len(network.layers) if at_end else 0
+        split_env, whole_env = (
+            EdgeCloudEnvironment(build_device("mi8pro"), scenario=scenario,
+                                 seed=7)
+            for _ in range(2))
+        local, remote = _split_targets(split_env)
+        whole_target = local if at_end else remote
+        for _ in range(3):
+            split = split_env.execute_split(network, point, local, remote)
+            whole = whole_env.execute(network, whole_target)
+            assert split == whole
+        assert split.target_key == whole_target.key
+        assert split_env.clock.now_ms == whole_env.clock.now_ms
+        assert split_env.rng.bit_generator.state \
+            == whole_env.rng.bit_generator.state
+
+    def test_split_at_end_equals_local(self, zoo):
+        for scenario in ("S1", "S2", "D2"):
+            self._assert_split_is_whole_run(zoo, True, scenario)
+
+    def test_split_at_zero_equals_remote(self, zoo):
+        for scenario in ("S1", "S4", "D3"):
+            self._assert_split_is_whole_run(zoo, False, scenario)
+
+    def test_split_at_zero_matches_remote_under_load(self, zoo):
+        """Regression: the degenerate split@0 must pay the co-runner's
+        radio slowdown like the identical whole-model offload."""
+        for scenario in ("S2", "S3", "D2"):
+            self._assert_split_is_whole_run(zoo, False, scenario)
+
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_deterministic_matches_estimate(self, zoo, at_end):
+        network = zoo["inception_v1"]
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S2",
+                                   seed=7)
+        local, remote = _split_targets(env)
+        observation = env.observe()
+        state = env.rng.bit_generator.state
+        split = env.execute_split(
+            network, len(network.layers) if at_end else 0, local, remote,
+            observation, deterministic=True)
+        assert split == env.estimate(network, local if at_end else remote,
+                                     observation)
+        assert env.clock.now_ms == 0.0
+        assert env.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_partitioned_execution_rejects_end_points(self, env, zoo,
+                                                      at_end):
+        network = zoo["inception_v1"]
+        local, remote = _split_targets(env)
+        observation = env.observe()
+        with pytest.raises(ConfigError):
+            partitioned_execution(
+                env.device, env.cloud, network,
+                len(network.layers) if at_end else 0, local, remote,
+                env.wifi, observation.rssi_wlan_dbm,
+                env._load_from(observation), env.interference,
+                env.accuracy,
+            )

