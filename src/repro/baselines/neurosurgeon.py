@@ -28,7 +28,6 @@ import numpy as np
 from repro.baselines.base import Scheduler
 from repro.common import ConfigError
 from repro.env.target import ExecutionTarget, Location
-from repro.models.layers import LayerType
 from repro.models.quantization import Precision
 
 __all__ = ["LayerLatencyModel", "NeurosurgeonScheduler"]
@@ -49,15 +48,17 @@ class LayerLatencyModel:
             rng=None, noise_pct=0.03):
         """Fit from (optionally noisy) profiled layer latencies."""
         by_kind = {}
-        for layer in layers:
-            measured = processor.layer_latency_ms(layer, precision)
+        latencies = processor.layer_latencies_ms(layers, precision)
+        for layer, measured in zip(layers, latencies.tolist()):
             if rng is not None and noise_pct > 0:
                 measured *= float(np.exp(rng.normal(0, noise_pct)))
             by_kind.setdefault(layer.kind, []).append((layer.macs, measured))
         for kind, points in by_kind.items():
             macs = np.array([p[0] for p in points])
             lats = np.array([p[1] for p in points])
-            if len(points) >= 2 and macs.std() > 0:
+            # Peak-to-peak, not std: identical MACs can leave a float
+            # std of ~1e-11, which polyfit cannot condition.
+            if len(points) >= 2 and np.ptp(macs) > 0:
                 a, b = np.polyfit(macs, lats, 1)
             else:
                 a, b = 0.0, float(lats.mean())

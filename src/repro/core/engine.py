@@ -14,6 +14,9 @@ One private cycle runs that loop body.  :meth:`AutoScale.step` and
 :meth:`AutoScale.run` loops over it; every execution goes through the
 environment's one executor,
 :meth:`~repro.env.environment.EdgeCloudEnvironment.execute`.
+Algorithm 1's s <- s' carry lives once, in :meth:`AutoScale.observe`
+and :meth:`AutoScale.state_of`; every decision-path observe and encode
+goes through them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from repro.common import ConfigError, make_rng
 from repro.core.action import ActionSpace
 from repro.core.convergence import ConvergenceDetector
-from repro.core.qlearning import QLearningConfig, QTable, epsilon_greedy
+from repro.core.qlearning import QLearningConfig, QTable
 from repro.core.reward import RewardConfig, compute_reward
 from repro.core.state import table_i_state_space
 
@@ -216,6 +219,9 @@ class AutoScale:
         self._select_append = self.overhead.select_us.append
         self._update_append = self.overhead.update_us.append
         self._history_append = self.history.append
+        # The carry (see observe) and the encode memo (see state_of).
+        self._carried_scenario = self._carried = None
+        self._states = {}
 
     # ------------------------------------------------------------------
     # Mode control
@@ -232,9 +238,51 @@ class AutoScale:
     # Algorithm 1
     # ------------------------------------------------------------------
 
+    def observe(self):
+        """Step 1's runtime-variance sample, through the carry.
+
+        A static scenario (Table IV's S1-S5) draws no RNG and never
+        changes, so an observation taken under one is reused for as long
+        as ``environment.scenario`` is that same object; a dynamic one
+        is sampled on every call and ends any carry.  No observable
+        changes.  The carry outlives steps, runs and clock rewinds, so a
+        carried ``now_ms`` may be older or newer than the clock and no
+        rule may compare the two.
+        """
+        env = self.environment
+        scenario = env.scenario
+        if scenario is self._carried_scenario:
+            return self._carried
+        observation = env.observe()
+        if env.scenario_is_static:
+            self._carried_scenario, self._carried = scenario, observation
+        else:
+            self._carried_scenario = self._carried = None
+        return observation
+
+    def drop_carry(self):
+        """End the carry: the next :meth:`observe` samples afresh."""
+        self._carried_scenario = self._carried = None
+
+    def carries(self, observation):
+        """Whether :meth:`observe` would return ``observation`` now."""
+        return (observation is self._carried
+                and self.environment.scenario is self._carried_scenario)
+
     def observe_state(self, network, observation):
         """Step 1: encode (NN characteristics, runtime variance)."""
         return self.state_space.encode(network, observation)
+
+    def state_of(self, network, observation):
+        """:meth:`observe_state`, memoized per network name on the
+        network and observation objects (both immutable)."""
+        entry = self._states.get(network.name)
+        if entry is None or entry[0] is not network \
+                or entry[1] is not observation:
+            entry = self._states[network.name] = (
+                network, observation,
+                self.observe_state(network, observation))
+        return entry[2]
 
     def select_action(self, state, explore=None, allowed=None):
         """Step 2: epsilon-greedy over the Q-table.
@@ -360,91 +408,71 @@ class AutoScale:
         the Q update, so the table learns the target is flaky).
         """
         return self._cycle(use_case, observation, allowed=allowed_actions,
-                           deadline_ms=deadline_ms)[0]
+                           deadline_ms=deadline_ms)
 
     def step_with_action(self, use_case, action, observation,
-                         explored=False, deadline_ms=None, state=None):
+                         explored=False, deadline_ms=None):
         """:meth:`step` with the selection already made.
 
         The serving drain selects once per ``(network, state)`` group
         and completes each coalesced request here: execute, reward,
         successor observation and Q update run per request in the same
         cycle as :meth:`step`, so the learning dynamics are identical.
-
-        ``state``, when given, must be the caller's already-computed
-        ``observe_state(use_case.network, observation)`` — encoding is
-        deterministic, so passing it skips a redundant encode
-        without changing any observable.  The serving drain memoizes
-        one state per network and feeds it here for every request.
         """
         if not 0 <= action < len(self._targets):
             raise ConfigError(
                 f"action {action} outside the "
                 f"{len(self._targets)}-action space"
             )
-        return self._cycle(use_case, observation, state, action, explored,
-                           deadline_ms=deadline_ms)[0]
+        return self._cycle(use_case, observation, action, explored,
+                           deadline_ms=deadline_ms)
 
     def run(self, use_case, num_inferences, stop_on_convergence=False):
         """Run up to ``num_inferences`` Algorithm-1 cycles for one use case.
 
         Returns the steps taken.  With ``stop_on_convergence`` the
         episode ends right after the step on which the reward converged
-        (the online-adaptation protocol).
-
-        A plain loop over the cycle :meth:`step` runs, bit-identical to
-        calling :meth:`step` per inference.  The one saving: while the
-        scenario is static (it draws nothing and returns the same values
-        every time), one observation and its state carry across
-        iterations instead of two samples per step.  A kernel event that
-        swaps the scenario during an execution ends the reuse there.
+        (the online-adaptation protocol).  A plain loop over the cycle
+        :meth:`step` runs, bit-identical to calling :meth:`step` per
+        inference.
         """
         if num_inferences < 1:
             raise ConfigError("num_inferences must be >= 1")
         cycle = self._cycle
         convergence = self.convergence
-        observation = state = None
         steps = []
         for _ in range(num_inferences):
-            record, observation, state = cycle(use_case, observation, state,
-                                               carry=True)
-            steps.append(record)
+            steps.append(cycle(use_case))
             if stop_on_convergence and convergence.converged:
                 break
         return steps
 
-    def _cycle(self, use_case, observation=None, state=None, action=None,
-               explored=False, allowed=None, deadline_ms=None, carry=False):
-        """Algorithm 1 once: observe, encode and select unless given,
-        then execute, reward, successor observe/encode, update, record.
-
-        Returns ``(record, observation, state)``.  The last two are the
-        successor to feed the next cycle when ``carry`` is set, the
-        scenario is static and was not swapped during ``execute``
-        (encoding the same values again gives the same state); otherwise
-        ``None``, and the next cycle observes afresh.
+    def _cycle(self, use_case, observation=None, action=None,
+               explored=False, allowed=None, deadline_ms=None):
+        """Algorithm 1 once: observe unless given, encode, select unless
+        given, then execute, reward, successor observe/encode, update,
+        record.  Under a static scenario the successor is the observation
+        in hand unless a kernel event swapped the scenario mid-execute.
         """
         env = self.environment
         network = use_case.network
         if observation is None:
-            observation = env.observe()
-        if state is None:
-            state = self.observe_state(network, observation)
+            observation = self.observe()
+        state = self.state_of(network, observation)
         if action is None:
             action, explored = self.select_action(state, allowed=allowed)
-        scenario = env.scenario
         target = self._targets[action]
         result = env.execute(network, target, observation,
                              deadline_ms=deadline_ms)
 
         started = time.perf_counter()
         reward = compute_reward(result, use_case, self.reward_config)
-        reuse = (carry and env.scenario is scenario
-                 and env.scenario_is_static)
         q_delta = 0.0
         if self.training:
-            next_state = state if reuse else \
-                self.observe_state(network, env.observe())
+            successor = self.observe()
+            # Encoded outside the memo, which keeps the decision's entry.
+            next_state = state if successor is observation else \
+                self.observe_state(network, successor)
             q_delta = self.qtable.update(state, action, reward, next_state)
             # Exploration steps are deliberate off-policy probes; feeding
             # their rewards to the detector would make the "converged"
@@ -459,9 +487,7 @@ class AutoScale:
             q_delta=q_delta,
         )
         self._history_append(record)
-        if reuse:
-            return record, observation, state
-        return record, None, None
+        return record
 
     # ------------------------------------------------------------------
     # Prediction (trained-table usage)
@@ -469,7 +495,7 @@ class AutoScale:
 
     def predict(self, network, observation):
         """The greedy execution target for a (network, observation) pair."""
-        state = self.observe_state(network, observation)
+        state = self.state_of(network, observation)
         action, _ = self.select_action(state, explore=False)
         return self.action_space.target(action)
 

@@ -24,7 +24,6 @@ historical single-attempt path.
 from __future__ import annotations
 
 import pathlib
-from typing import Optional
 
 import numpy as np
 
@@ -210,7 +209,7 @@ class AutoScaleService:
                          if not target.is_remote]
         if not local_indices:
             return None
-        observation = env.observe()
+        observation = self.engine.observe()
         sweep = env.estimate_all(use_case.network, observation)
         best = sweep.argbest(use_case, indices=local_indices)
         if best is None:

@@ -142,10 +142,10 @@ class EdgeCloudEnvironment:
 
         Constant co-runner + constant signals (Table IV's S1-S5) sample
         no RNG values and return identical observations every step, so
-        ``AutoScale.run``'s loop and the serving drain's per-network
-        memo can elide repeated observe/encode work without touching
-        the RNG stream or any downstream value.  Computed when the
-        scenario is set.
+        the engine's observation carry (its one reader,
+        :meth:`~repro.core.engine.AutoScale.observe`) reuses one for as
+        long as this scenario object stays installed.  Computed when
+        the scenario is set.
         """
         return self._scenario_is_static
 

@@ -12,10 +12,9 @@ online until the reward converges, then the trained table is used greedily
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
 
 from repro.baselines.oracle import OptOracle
-from repro.common import ConfigError, make_rng
+from repro.common import ConfigError
 from repro.core.engine import AutoScale
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.scenarios import build_scenario
@@ -112,14 +111,13 @@ def evaluate_autoscale(engine, use_case, eval_runs=30, oracle=None,
         scenario=env.scenario.name, qos_ms=use_case.qos_ms,
     )
     for _ in range(eval_runs):
-        observation = env.observe()
+        observation = engine.observe()
         matched = None
         if oracle is not None:
             chosen = engine.predict(use_case.network, observation)
             optimal = oracle.select(
                 env, use_case, observation,
-                state_key=engine.observe_state(use_case.network,
-                                               observation),
+                state_key=engine.state_of(use_case.network, observation),
             )
             sweep = env.estimate_all(use_case.network, observation)
             matched = decision_match(

@@ -32,7 +32,7 @@ from repro.hardware.dvfs import VFStep
 from repro.models.layers import Layer, LayerType
 from repro.models.quantization import Precision
 
-__all__ = ["ProcessorKind", "Processor", "sum_layer_terms"]
+__all__ = ["ProcessorKind", "Processor", "per_layer_ms", "sum_layer_terms"]
 
 
 class ProcessorKind(enum.Enum):
@@ -197,8 +197,8 @@ class Processor:
                     precision: Precision) -> np.ndarray:
         """``terms[layer, vf]``: compute ms before slowdown and dispatch.
 
-        One IEEE operation chain for every entry; sum the table (or one
-        of its columns) with :func:`sum_layer_terms`.
+        One IEEE operation chain for every entry; :func:`per_layer_ms`
+        turns it into latencies and :func:`sum_layer_terms` sums them.
         """
         if not layers:
             raise ConfigError(f"{self.name}: no layers to time")
@@ -226,11 +226,15 @@ class Processor:
             self.layer_terms(layers, precision)[:, vf_index], slowdown,
             self.dispatch_ms))
 
-    def layer_latency_ms(self, layer, precision, vf_index=-1,
-                         slowdown=1.0):
-        """Latency of one layer, including dispatch overhead."""
-        return self.layers_latency_ms((layer,), precision, vf_index,
-                                      slowdown)
+    def layer_latencies_ms(self, layers, precision, vf_index=-1,
+                           slowdown=1.0):
+        """Each layer's latency, dispatch included, from one term table:
+        the entries :meth:`layers_latency_ms` sums."""
+        if slowdown < 1.0:
+            raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
+        return per_layer_ms(
+            self.layer_terms(layers, precision)[:, vf_index], slowdown,
+            self.dispatch_ms)
 
     # ------------------------------------------------------------------
     # Power helpers (used by the eq. 1-3 energy models in ``power.py``)
@@ -252,12 +256,20 @@ class Processor:
         return self.idle_power_mw + dynamic * scale
 
 
+def per_layer_ms(terms: np.ndarray, slowdown: float,
+                 dispatch_ms: float) -> np.ndarray:
+    """Layer latencies from compute terms: ``term * slowdown +
+    dispatch_ms``, elementwise."""
+    return terms * slowdown + dispatch_ms
+
+
 def sum_layer_terms(terms: np.ndarray, slowdown: float,
                     dispatch_ms: float) -> Union[float, np.ndarray]:
-    """Sum of ``term * slowdown + dispatch_ms`` over the layer axis.
+    """Sum of :func:`per_layer_ms` over the layer axis.
 
     Strictly left to right (``np.add.accumulate``, unlike the pairwise
     ``np.sum`` or CPython 3.12+'s compensated ``sum``).  A column gives
     one total; a ``[layer, vf]`` table gives one per V/F step.
     """
-    return np.add.accumulate(terms * slowdown + dispatch_ms, axis=0)[-1]
+    return np.add.accumulate(per_layer_ms(terms, slowdown, dispatch_ms),
+                             axis=0)[-1]

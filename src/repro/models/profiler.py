@@ -112,8 +112,9 @@ def profile_network(processor, network, precision, vf_index=-1,
     power_mw = processor.busy_power_at(vf_index) + platform_idle_mw
     profiles: List[LayerProfile] = []
     cumulative_ms = 0.0
-    for layer in network.layers:
-        latency_ms = processor.layer_latency_ms(layer, precision, vf_index)
+    latencies = processor.layer_latencies_ms(network.layers, precision,
+                                             vf_index)
+    for layer, latency_ms in zip(network.layers, latencies.tolist()):
         cumulative_ms += latency_ms
         profiles.append(LayerProfile(
             name=layer.name,

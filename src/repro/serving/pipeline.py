@@ -21,15 +21,11 @@ arrival stream on the environment's virtual clock:
 
 There is one drain, and it runs per request under every configuration
 (static or dynamic scenario, frozen or training, guard, brownout,
-retries).  What makes it cheap is a memo of the drain-start
-observation and, per network, the encoded state and the feasibility
-floor.  Under a static Table-IV scenario (S1-S5) an observation draws
-no RNG and never changes value, so the memo lives across drains for as
-long as the scenario object and the action mask stay the same; under a
-dynamic scenario it lasts one drain, holds only states, and the floor
-is re-judged per request.  Either way it changes no observable: trace
-rows, Q-table bytes, shed ledgers, RNG streams and the virtual clock
-are what they would be without it.
+retries).  Its observations and states come from the engine's one carry
+rule (:meth:`~repro.core.engine.AutoScale.observe`); the pipeline keeps
+only a per-serve memo of each network's feasibility floor.  Neither
+changes an observable: trace rows, Q-table bytes, shed ledgers, RNG
+streams and the virtual clock are what they would be without them.
 
 ``ServingConfig.disabled()`` bypasses all of it and reproduces the
 direct :meth:`~repro.core.service.AutoScaleService.handle` path
@@ -147,18 +143,6 @@ class ServedRequest:
         return not (self.shed or self.failed)
 
 
-class _NetworkMemo:
-    """One network's drain constants: its encoded state and feasibility
-    floor, each filled on first use (``None`` until then)."""
-
-    __slots__ = ("network", "state", "floor_ms")
-
-    def __init__(self, network):
-        self.network = network
-        self.state = None
-        self.floor_ms = None
-
-
 class ServingPipeline:
     """Drives one service through an open-loop arrival stream."""
 
@@ -174,11 +158,8 @@ class ServingPipeline:
         self.guard = (getattr(service, "guard", None)
                       or PolicyGuard(GuardConfig.disabled()))
         self._guard_handle = None
-        # The drain memo and its tag (see _drain_memo).
-        self._memo_observation = None
-        self._memo = {}
-        self._memo_scenario = None
-        self._memo_mask = None
+        # The floor memo and its tag (see _floor_memo).
+        self._floors, self._floor_tag = {}, None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -230,9 +211,11 @@ class ServingPipeline:
         """
         env = self.service.environment
         kernel = env.kernel
-        # Each serve recomputes its memo from scratch: nothing the
-        # caller changed on the environment between serves can leak in.
-        self._memo_scenario = None
+        # Each serve starts from scratch: its first drain observes at
+        # its own time and recomputes the floors, so nothing the caller
+        # changed on the environment between serves can leak in.
+        self.service.engine.drop_carry()
+        self._floor_tag = None
         outcomes: List[ServedRequest] = []
         due: "deque[Arrival]" = deque()
         # Times of arrivals the kernel has not delivered yet; events
@@ -386,26 +369,16 @@ class ServingPipeline:
             return (use_case.network.name, state, use_case.name)
         return (use_case.network.name, state)
 
-    def _drain_memo(self, env, mask):
-        """The drain-start observation and the per-network memo.
-
-        Both survive from the previous drain only while their tag still
-        holds: the scenario is static and the *same object*, and the
-        combined mask has the same bytes.  Otherwise the environment is
-        observed afresh and the memo starts empty; a dynamic scenario
-        leaves the tag unset, so it observes every drain and its memo
-        lasts exactly one drain and holds states only.
-        """
-        scenario = env.scenario
+    def _floor_memo(self, observation, mask):
+        """The per-network feasibility floors, kept from the previous
+        drain of this serve while the drain observation is the same
+        object and the combined mask has the same bytes."""
         mask_bytes = None if mask is None else mask.tobytes()
-        if (scenario is not self._memo_scenario
-                or mask_bytes != self._memo_mask):
-            self._memo_observation = env.observe()
-            self._memo = {}
-            self._memo_scenario = (scenario if env.scenario_is_static
-                                   else None)
-            self._memo_mask = mask_bytes
-        return self._memo_observation, self._memo
+        tag = self._floor_tag
+        if tag is None or tag[0] is not observation \
+                or tag[1] != mask_bytes:
+            self._floors, self._floor_tag = {}, (observation, mask_bytes)
+        return self._floors
 
     def _drain_cycle(self, outcomes):
         """One drain: observe once, shed the hopeless, coalesce the rest.
@@ -416,19 +389,13 @@ class ServingPipeline:
         complete it through
         :meth:`~repro.core.engine.AutoScale.step_with_action`.
 
-        The drain-start observation and each network's encoded state
-        and feasibility floor come from the pipeline's memo
-        (:meth:`_drain_memo`).  Under a static scenario a re-observe
-        would change only the observation's timestamp, which execution
-        and the nominal sweeps never read.  The state is the encoding
-        of the drain-start observation, the same for every request of
-        the drain.  The floor is memoized only while the drain-start
-        static scenario is still installed: a kernel ``TIMER`` can swap
-        the scenario mid-drain, and from then on the floor is re-judged
-        per request against a fresh observation whenever the clock has
-        moved, as it would be without the memo.  Timers fire only as
-        the clock advances, so by then it has always moved past every
-        timestamp the memo holds.
+        The drain observes and encodes through the engine's carry.  A
+        network's floor is memoized (:meth:`_floor_memo`) while the
+        engine still carries the drain observation.  Once a kernel
+        ``TIMER`` swaps the scenario mid-drain, the floor is re-judged
+        per request against a sample taken in this drain, refreshed
+        whenever the clock has moved; a carried observation may predate
+        the drain, so it never stands in as that sample.
         """
         service = self.service
         env = service.environment
@@ -437,38 +404,37 @@ class ServingPipeline:
         batch = self.queue.take_batch(self.config.batch_max)
         mask = self._combined_mask()
         browned = self.brownout.tier is not BrownoutTier.NORMAL
-        observation, memo = self._drain_memo(env, mask)
-        static_scenario = self._memo_scenario
+        observation = engine.observe()
+        floors = self._floor_memo(observation, mask)
         # One selection per (network, state) group; execution, reward,
         # and Q update stay per-request via step_with_action.
         decisions = {}
-        # The freshest feasibility sample, re-observed only when time
-        # has moved — a batch of one (the pinned zero-overload path)
-        # never re-observes.
-        feasibility_obs = observation
+        # The freshest feasibility sample taken in this drain — a batch
+        # of one (the pinned zero-overload path) never re-observes.
+        fresh = None if engine.carries(observation) else observation
         guard = self.guard
         for request in batch:
             now_ms = env.clock.now_ms
             use_case = request.use_case
             network = use_case.network
-            entry = memo.get(network.name)
-            if entry is None or entry.network is not network:
-                entry = memo[network.name] = _NetworkMemo(network)
             if self.config.shedding:
                 if request.remaining_ms(now_ms) < 0:
                     self._shed(request, ShedReason.EXPIRED, now_ms,
                                outcomes)
                     continue
-                if env.scenario is static_scenario:
-                    if entry.floor_ms is None:
-                        entry.floor_ms = min_feasible_latency_ms(
-                            env.estimate_all(network, observation), mask)
-                    floor_ms = entry.floor_ms
+                if engine.carries(observation):
+                    entry = floors.get(network.name)
+                    if entry is None or entry[0] is not network:
+                        entry = floors[network.name] = (
+                            network, min_feasible_latency_ms(
+                                env.estimate_all(network, observation),
+                                mask))
+                    floor_ms = entry[1]
                 else:
-                    if feasibility_obs.now_ms != now_ms:
-                        feasibility_obs = env.observe()
+                    if fresh is None or fresh.now_ms != now_ms:
+                        fresh = engine.observe()
                     floor_ms = min_feasible_latency_ms(
-                        env.estimate_all(network, feasibility_obs), mask)
+                        env.estimate_all(network, fresh), mask)
                 if now_ms + floor_ms > request.deadline_ms:
                     self._shed(request, ShedReason.INFEASIBLE, now_ms,
                                outcomes)
@@ -485,9 +451,7 @@ class ServingPipeline:
                         guard.note_qos(wait_ms + outcome.latency_ms
                                        <= use_case.qos_ms)
             else:
-                if entry.state is None:
-                    entry.state = engine.observe_state(network, observation)
-                state = entry.state
+                state = engine.state_of(network, observation)
                 key = self._decision_key(use_case, state, shadowing,
                                          browned)
                 if key not in decisions:
@@ -509,7 +473,6 @@ class ServingPipeline:
                 action, explored = decisions[key]
                 step = engine.step_with_action(
                     use_case, action, observation, explored=explored,
-                    state=state,
                 )
                 service.trace.record_step(
                     step, use_case, at_ms=env.clock.now_ms,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "ShedStats",
     "DeadlinePolicy",
     "min_feasible_latency_ms",
-    "shed_verdict",
 ]
 
 
@@ -225,21 +224,3 @@ def min_feasible_latency_ms(sweep, allowed=None):
             latencies = latencies[mask]
     return float(latencies.min())
 
-
-def shed_verdict(now_ms, deadline_ms, floor_ms):
-    """Classify one head-of-queue request against its deadline.
-
-    Returns the :class:`ShedReason` the pipeline must apply, or ``None``
-    when the request is servable, given a precomputed floor.  The
-    comparisons mirror the serving drain's inline checks exactly (same
-    inclusive-deadline convention as :class:`DeadlinePolicy`, pinned by
-    the boundary tests).  The order matters: ``EXPIRED`` is checked *before*
-    ``INFEASIBLE`` because mid-batch clock movement (earlier requests in
-    the same drain executing) can push a request past its deadline
-    entirely — it must then report as expired, not merely infeasible.
-    """
-    if deadline_ms - now_ms < 0:
-        return ShedReason.EXPIRED
-    if now_ms + floor_ms > deadline_ms:
-        return ShedReason.INFEASIBLE
-    return None

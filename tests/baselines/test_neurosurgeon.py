@@ -1,5 +1,8 @@
 """Tests for the NeuroSurgeon baseline."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.baselines.neurosurgeon import (
@@ -8,7 +11,9 @@ from repro.baselines.neurosurgeon import (
 )
 from repro.common import ConfigError, make_rng
 from repro.env.qos import use_case_for
+from repro.hardware.devices import build_device, cloud_server
 from repro.models.quantization import Precision
+from tests.env.layer_walk import layer_ms
 
 
 class TestLayerLatencyModel:
@@ -16,10 +21,49 @@ class TestLayerLatencyModel:
         cpu = mi8pro_device.soc.cpu
         layers = zoo["inception_v1"].layers
         model = LayerLatencyModel().fit(cpu, layers, Precision.FP32)
-        for layer in layers[:10]:
+        actual = cpu.layer_latencies_ms(layers[:10], Precision.FP32)
+        for layer, actual_ms in zip(layers[:10], actual):
             predicted = model.predict_layer(layer)
-            actual = cpu.layer_latency_ms(layer, Precision.FP32)
-            assert predicted == pytest.approx(actual, rel=0.35, abs=0.15)
+            assert predicted == pytest.approx(actual_ms, rel=0.35,
+                                              abs=0.15)
+
+    def test_noisy_fit_draws_per_layer_in_order(self, mi8pro_device, zoo):
+        """The fit reads the scalar walk's per-layer latencies (``==``)
+        and draws one noise sample per layer, in layer order."""
+        cpu = mi8pro_device.soc.cpu
+        layers = zoo["inception_v1"].layers
+        model = LayerLatencyModel().fit(cpu, layers, Precision.FP32,
+                                        rng=make_rng(3))
+        rng = make_rng(3)
+        by_kind = {}
+        for layer in layers:
+            measured = layer_ms(cpu, layer, Precision.FP32)
+            measured *= float(np.exp(rng.normal(0, 0.03)))
+            by_kind.setdefault(layer.kind, []).append((layer.macs,
+                                                       measured))
+        for kind, points in by_kind.items():
+            macs, lats = (np.array(column) for column in zip(*points))
+            if len(points) >= 2 and np.ptp(macs) > 0:
+                expected = np.polyfit(macs, lats, 1)
+            else:
+                expected = (0.0, lats.mean())
+            assert model._coeffs[kind] \
+                == (float(expected[0]), float(expected[1]))
+
+    def test_identical_macs_fit_without_warnings(self, zoo):
+        """A kind whose layers all share one MAC count (ssd_mobilenet_v2's
+        ten POOL layers) takes the intercept-only branch: fitting every
+        mi8pro processor and the cloud server on every network raises
+        no warning."""
+        processors = [*build_device("mi8pro").soc.processors.values(),
+                      *cloud_server().soc.processors.values()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for network in zoo.values():
+                for processor in processors:
+                    for precision in processor.precisions:
+                        LayerLatencyModel().fit(processor, network.layers,
+                                                precision, rng=make_rng(0))
 
     def test_predictions_positive(self, mi8pro_device, zoo):
         cpu = mi8pro_device.soc.cpu

@@ -6,7 +6,9 @@ from repro.common import ConfigError
 from repro.core.engine import AutoScale
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
+from repro.env.scenarios import build_scenario
 from repro.hardware.devices import build_device
+from repro.sim.events import EventKind
 
 
 @pytest.fixture()
@@ -137,3 +139,68 @@ class TestLearning:
     def test_rewards_trace(self, engine, mobilenet_case):
         engine.run(mobilenet_case, 5)
         assert len(engine.rewards()) == 5
+
+
+def _counting(engine):
+    """Count the environment's observes and the engine's encodes."""
+    counts = {"observes": 0, "encodes": 0}
+    observe = engine.environment.observe
+    encode = engine.observe_state
+
+    def counted_observe():
+        counts["observes"] += 1
+        return observe()
+
+    def counted_encode(network, observation):
+        counts["encodes"] += 1
+        return encode(network, observation)
+
+    engine.environment.observe = counted_observe
+    engine.observe_state = counted_encode
+    return counts
+
+
+class TestObservationCarry:
+    """Algorithm 1's s <- s': under a static scenario the engine observes
+    once and encodes once per network for as long as that scenario
+    object stays installed, whichever entry point drives it."""
+
+    def test_static_steps_and_run_observe_once(self, engine, zoo):
+        light = use_case_for(zoo["mobilenet_v3"])
+        heavy = use_case_for(zoo["resnet_50"])
+        counts = _counting(engine)
+        for _ in range(6):
+            engine.step(light)
+        engine.run(heavy, 6)
+        engine.run(light, 6)
+        assert counts == {"observes": 1, "encodes": 2}
+
+    def test_dynamic_step_observes_twice(self, mobilenet_case):
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="D2",
+                                   seed=1234)
+        engine = AutoScale(env, seed=11)
+        counts = _counting(engine)
+        for _ in range(5):
+            engine.step(mobilenet_case)
+        assert counts["observes"] == 10
+        assert counts["encodes"] == 10
+
+    def test_scenario_swap_during_execute_forces_a_fresh_observe(
+            self, engine, mobilenet_case):
+        env = engine.environment
+        carried = engine.observe()
+
+        def swap(event):
+            env.scenario = build_scenario("S1")
+
+        env.kernel.schedule(env.clock.now_ms + 1.0, EventKind.TIMER,
+                            payload="swap", callback=swap)
+        counts = _counting(engine)
+        # Starts on the carried sample; the swap fires inside execute,
+        # so the successor is observed afresh under the new object...
+        engine.step(mobilenet_case)
+        assert counts["observes"] == 1
+        assert not engine.carries(carried)
+        # ...and carried from then on.
+        engine.step(mobilenet_case)
+        assert counts["observes"] == 1

@@ -10,8 +10,8 @@ The headline pins, at the shared seed:
   typed ``GUARD_TICK`` event — no per-request sweeps.
 
 The sweep runs once per module (it replays eight full serving episodes)
-on a shortened episode; the full-length numbers land in
-``benchmarks/results/BENCH_drift.json`` via the non-gating bench job.
+on a shortened episode; ``repro-autoscale drift`` prints the
+full-length numbers.
 """
 
 import pytest

@@ -59,44 +59,48 @@ class TestThroughput:
             _cpu().throughput_gmacs(Precision.FP16)
 
 
+def _entry_ms(proc, layer, precision, vf_index=-1, slowdown=1.0):
+    """One layer's entry of the vector form."""
+    return proc.layer_latencies_ms([layer], precision, vf_index,
+                                   slowdown)[0]
+
+
 class TestLayerLatency:
     def test_latency_includes_dispatch(self):
         cpu = _cpu()
         layer = make_layer(LayerType.CONV, "c", macs=0.0)
-        assert cpu.layer_latency_ms(layer, Precision.FP32) \
-            == pytest.approx(cpu.dispatch_ms)
+        assert _entry_ms(cpu, layer, Precision.FP32) == cpu.dispatch_ms
 
     def test_latency_proportional_to_macs(self):
         cpu = _cpu()
         small = make_layer(LayerType.CONV, "s", macs=1e8)
         big = make_layer(LayerType.CONV, "b", macs=2e8)
-        small_ms = cpu.layer_latency_ms(small, Precision.FP32) \
-            - cpu.dispatch_ms
-        big_ms = cpu.layer_latency_ms(big, Precision.FP32) \
-            - cpu.dispatch_ms
+        small_ms, big_ms = cpu.layer_latencies_ms(
+            [small, big], Precision.FP32) - cpu.dispatch_ms
         assert big_ms == pytest.approx(2 * small_ms)
 
     def test_slowdown_multiplies_compute_only(self):
         cpu = _cpu()
         layer = make_layer(LayerType.CONV, "c", macs=1e8)
-        base = cpu.layer_latency_ms(layer, Precision.FP32)
-        slowed = cpu.layer_latency_ms(layer, Precision.FP32, slowdown=2.0)
+        base = _entry_ms(cpu, layer, Precision.FP32)
+        slowed = _entry_ms(cpu, layer, Precision.FP32, slowdown=2.0)
         assert slowed == pytest.approx(2 * base - cpu.dispatch_ms)
 
     def test_slowdown_below_one_rejected(self):
         layer = make_layer(LayerType.CONV, "c", macs=1e8)
         with pytest.raises(ConfigError):
-            _cpu().layer_latency_ms(layer, Precision.FP32, slowdown=0.5)
+            _cpu().layer_latencies_ms([layer], Precision.FP32,
+                                      slowdown=0.5)
 
     def test_fig3_fc_slower_on_gpu_than_cpu(self):
         """Fig. 3's core observation, encoded in layer efficiencies."""
         cpu, gpu = _cpu(), _gpu()
         fc = make_layer(LayerType.FC, "f", macs=5e7)
         conv = make_layer(LayerType.CONV, "c", macs=5e8)
-        assert (gpu.layer_latency_ms(fc, Precision.FP32)
-                > cpu.layer_latency_ms(fc, Precision.FP32))
-        assert (gpu.layer_latency_ms(conv, Precision.FP32)
-                < cpu.layer_latency_ms(conv, Precision.FP32))
+        assert (_entry_ms(gpu, fc, Precision.FP32)
+                > _entry_ms(cpu, fc, Precision.FP32))
+        assert (_entry_ms(gpu, conv, Precision.FP32)
+                < _entry_ms(cpu, conv, Precision.FP32))
 
 
 class TestOneSum:
@@ -110,10 +114,10 @@ class TestOneSum:
             _cpu().layers_latency_ms([], Precision.FP32)
 
     def test_matches_layer_walk_bitwise(self):
-        """``layers_latency_ms``/``layer_latency_ms`` equal the test-side
-        scalar walk with ``==``: every processor of every device, every
-        precision and V/F step, whole/head/tail/mid slices, slowdown 1
-        and > 1."""
+        """``layers_latency_ms`` and each ``layer_latencies_ms`` entry
+        equal the test-side scalar walk with ``==``: every processor of
+        every device, every precision and V/F step, whole/head/tail/mid
+        slices, slowdown 1 and > 1."""
         devices = [*(build_device(name) for name in PHONE_NAMES),
                    build_device("mi8pro_npu"), cloud_server(),
                    galaxy_tab_s6()]
@@ -123,7 +127,6 @@ class TestOneSum:
             third = len(layers) // 3
             slices = (layers, layers[:third], layers[third:],
                       layers[third:-third])
-            singles = (layers[0], layers[third], layers[-1])
             for device in devices:
                 for role in device.soc.roles:
                     proc = device.soc.processor(role)
@@ -135,11 +138,12 @@ class TestOneSum:
                                         part, precision, vf, slowdown
                                     ) == walk_ms(proc, part, precision, vf,
                                                  slowdown)
-                                for layer in singles:
-                                    assert proc.layer_latency_ms(
-                                        layer, precision, vf, slowdown
-                                    ) == layer_ms(proc, layer, precision,
-                                                  vf, slowdown)
+                                assert proc.layer_latencies_ms(
+                                    layers, precision, vf, slowdown
+                                ).tolist() == [
+                                    layer_ms(proc, layer, precision, vf,
+                                             slowdown)
+                                    for layer in layers]
                                 checked += 1
         assert checked > 500
 

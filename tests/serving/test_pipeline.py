@@ -226,6 +226,44 @@ class TestShedding:
         assert all(r.energy_mj == 0.0 for r in shed_records)
 
 
+def drain_one_request(zoo, deadline_offset_ms):
+    """Queue one mobilenet_v3 request whose deadline sits at
+    ``now + offset`` and run a single drain cycle; returns the pipeline
+    and the request's outcome."""
+    from repro.serving.queue import QueuedRequest
+
+    case = use_case_for(zoo["mobilenet_v3"])
+    service = _service(5)
+    service.register(case)
+    pipeline = ServingPipeline(service, ServingConfig(
+        brownout=BrownoutConfig.disabled()))
+    env = service.environment
+    env.advance_clock(500.0)  # a nonzero 'now' so negatives exist
+    now_ms = env.clock.now_ms
+    request = QueuedRequest(
+        Arrival(0.0, case.name), case,
+        deadline_ms=now_ms + deadline_offset_ms,
+    )
+    pipeline.queue.admit(request)
+    outcomes = []
+    pipeline._drain_cycle(outcomes)
+    return pipeline, outcomes[0]
+
+
+def drain_floor_ms(zoo):
+    """The exact floor `drain_one_request`'s drain will compute: a twin
+    environment replaying the same seed, clock advance, and first
+    observation draw."""
+    from repro.serving.shedder import min_feasible_latency_ms
+
+    case = use_case_for(zoo["mobilenet_v3"])
+    service = _service(5)
+    env = service.environment
+    env.advance_clock(500.0)
+    sweep = env.estimate_all(case.network, env.observe())
+    return min_feasible_latency_ms(sweep)
+
+
 class TestDeadlineBoundary:
     """The deadline is inclusive, and both shed checks agree on it.
 
@@ -236,39 +274,10 @@ class TestDeadlineBoundary:
     """
 
     def _drain_one(self, zoo, deadline_offset_ms):
-        """Queue one request whose deadline sits at ``now + offset``
-        and run a single drain cycle."""
-        from repro.serving.queue import QueuedRequest
-
-        case = use_case_for(zoo["mobilenet_v3"])
-        service = _service(5)
-        service.register(case)
-        pipeline = ServingPipeline(service, ServingConfig(
-            brownout=BrownoutConfig.disabled()))
-        env = service.environment
-        env.advance_clock(500.0)  # a nonzero 'now' so negatives exist
-        now_ms = env.clock.now_ms
-        request = QueuedRequest(
-            Arrival(0.0, case.name), case,
-            deadline_ms=now_ms + deadline_offset_ms,
-        )
-        pipeline.queue.admit(request)
-        outcomes = []
-        pipeline._drain_cycle(outcomes)
-        return outcomes[0]
+        return drain_one_request(zoo, deadline_offset_ms)[1]
 
     def _floor_ms(self, zoo):
-        """The exact floor `_drain_one`'s drain will compute: a twin
-        environment replaying the same seed, clock advance, and first
-        observation draw."""
-        from repro.serving.shedder import min_feasible_latency_ms
-
-        case = use_case_for(zoo["mobilenet_v3"])
-        service = _service(5)
-        env = service.environment
-        env.advance_clock(500.0)
-        sweep = env.estimate_all(case.network, env.observe())
-        return min_feasible_latency_ms(sweep)
+        return drain_floor_ms(zoo)
 
     def test_remaining_zero_is_not_expired(self, zoo):
         """At exactly the deadline the budget is spent but not blown:
@@ -360,8 +369,9 @@ class TestStaleFeasibilityRefresh:
     fresh observation instead of reusing load/RSSI from a point that no
     longer exists — while a batch of one (the pinned zero-overload path)
     never re-observes.  Under a static scenario a fresh observation
-    would equal the old one, so there the drain's memo elides the
-    re-observe and the re-sweep altogether.
+    would equal the old one, so there the engine's carry and the
+    drain's floor memo elide the re-observe and the re-sweep
+    altogether.
     """
 
     def test_batch_of_one_never_reobserves(self, zoo):
@@ -369,8 +379,9 @@ class TestStaleFeasibilityRefresh:
         Under a dynamic scenario the enabled pipeline draws exactly as
         many observations as the direct path (drain sample + the
         engine's Q-update next-state sample per request), none for
-        feasibility; under S1 it also reuses the first drain's sample
-        instead of observing at later drains."""
+        feasibility.  Under S1 both paths observe once, at the first
+        request: the engine carries that sample as every later start
+        and successor observation."""
         case = use_case_for(zoo["mobilenet_v3"])
         arrivals = [Arrival(0.0, case.name),
                     Arrival(50_000.0, case.name)]
@@ -399,7 +410,7 @@ class TestStaleFeasibilityRefresh:
         piped, direct = both("D2")
         assert piped == direct
         piped, direct = both("S1")
-        assert piped == [t for t in direct if t != 50_000.0]
+        assert piped == direct == [0.0]
 
     def test_late_batch_requests_use_fresh_observations(self, zoo):
         """Under a dynamic scenario the drain must re-observe once the
@@ -431,7 +442,7 @@ class TestStaleFeasibilityRefresh:
         network, at that network's first drain, however many drains
         follow — while shedding exactly what the request-at-a-time
         reference sheds.  A second ``serve`` starts a fresh memo."""
-        from tests.serving.test_vectorized_drain import (
+        from tests.serving.test_drain_parity import (
             ScalarReferencePipeline,
         )
 

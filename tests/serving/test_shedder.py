@@ -10,7 +10,6 @@ from repro.serving.shedder import (
     SheddedRequest,
     ShedStats,
     min_feasible_latency_ms,
-    shed_verdict,
 )
 
 
@@ -119,31 +118,64 @@ class TestFeasibilityFloor:
                                     np.ones((1, 2), dtype=bool))
 
 
+
 class TestShedVerdict:
-    """The classifier mirrors the serving drain's inline checks and the
-    inclusive-deadline convention."""
+    """The verdict the serving drain records for one head-of-queue
+    request, read off the shed ledger and the shed outcome: the drain's
+    two checks follow the inclusive-deadline convention of
+    :class:`DeadlinePolicy`, and ``EXPIRED`` is judged before
+    ``INFEASIBLE``."""
 
-    def test_servable_inside_budget(self):
-        assert shed_verdict(0.0, 100.0, 50.0) is None
+    @staticmethod
+    def _verdict(zoo, deadline_offset_ms):
+        from tests.serving.test_pipeline import drain_one_request
 
-    def test_expired_once_strictly_past_deadline(self):
-        assert shed_verdict(100.1, 100.0, 0.0) is ShedReason.EXPIRED
+        pipeline, served = drain_one_request(zoo, deadline_offset_ms)
+        if served.delivered:
+            assert pipeline.shed_stats.served == 1
+            assert pipeline.shed_stats.sheds == {}
+            return None
+        shed = served.outcome
+        assert pipeline.shed_stats.sheds == {shed.reason.value: 1}
+        assert shed.energy_mj == 0.0
+        return shed
 
-    def test_at_deadline_is_not_expired(self):
-        # Inclusive deadline: remaining == 0 is still alive; any
-        # positive service floor then overshoots => INFEASIBLE, the
-        # same verdict the serving drain reaches at this boundary.
-        assert shed_verdict(100.0, 100.0, 0.1) is ShedReason.INFEASIBLE
-        assert shed_verdict(100.0, 100.0, 0.0) is None
+    @staticmethod
+    def _floor_ms(zoo):
+        from tests.serving.test_pipeline import drain_floor_ms
 
-    def test_floor_landing_exactly_on_deadline_is_kept(self):
-        assert shed_verdict(40.0, 100.0, 60.0) is None
+        return drain_floor_ms(zoo)
 
-    def test_floor_one_step_past_deadline_is_infeasible(self):
-        assert shed_verdict(40.0, 100.0, 60.5) is ShedReason.INFEASIBLE
+    def test_servable_inside_budget(self, zoo):
+        assert self._verdict(zoo, 2.0 * self._floor_ms(zoo)) is None
 
-    def test_expired_takes_precedence_over_infeasible(self):
+    def test_expired_once_strictly_past_deadline(self, zoo):
+        shed = self._verdict(zoo, -0.1)
+        assert shed.reason is ShedReason.EXPIRED
+        assert shed.shed_at_ms > shed.deadline_ms
+
+    def test_at_deadline_is_not_expired(self, zoo):
+        # Inclusive deadline: remaining == 0 is still alive; the
+        # positive service floor then overshoots => INFEASIBLE.
+        assert self._floor_ms(zoo) > 0.0
+        shed = self._verdict(zoo, 0.0)
+        assert shed.reason is ShedReason.INFEASIBLE
+        assert shed.shed_at_ms == shed.deadline_ms
+
+    def test_floor_landing_exactly_on_deadline_is_kept(self, zoo):
+        assert self._verdict(zoo, self._floor_ms(zoo)) is None
+
+    def test_floor_one_step_past_deadline_is_infeasible(self, zoo):
+        floor_ms = self._floor_ms(zoo)
+        assert floor_ms > 0.5
+        shed = self._verdict(zoo, floor_ms - 0.5)
+        assert shed.reason is ShedReason.INFEASIBLE
+        assert shed.shed_at_ms < shed.deadline_ms
+
+    def test_expired_takes_precedence_over_infeasible(self, zoo):
         # Past the deadline both conditions hold; the verdict must be
         # EXPIRED — mid-batch clock movement can convert a drain-start
         # infeasible into an expired, and the ledger must say which.
-        assert shed_verdict(200.0, 100.0, 50.0) is ShedReason.EXPIRED
+        assert self._floor_ms(zoo) > 0.0
+        shed = self._verdict(zoo, -100.0)
+        assert shed.reason is ShedReason.EXPIRED

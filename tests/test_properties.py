@@ -156,9 +156,9 @@ _CPU = Processor(
 @given(st.floats(1e3, 1e10, allow_nan=False), st.integers(0, 7))
 def test_latency_positive_and_monotone_in_vf(macs, vf):
     layer = make_layer(LayerType.CONV, "c", macs=macs)
-    latency = _CPU.layer_latency_ms(layer, Precision.FP32, vf)
+    latency = _CPU.layer_latencies_ms([layer], Precision.FP32, vf)[0]
     assert latency > 0
-    top = _CPU.layer_latency_ms(layer, Precision.FP32, -1)
+    top = _CPU.layer_latencies_ms([layer], Precision.FP32, -1)[0]
     assert latency >= top - 1e-12
 
 
