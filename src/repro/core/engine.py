@@ -260,10 +260,6 @@ class AutoScale:
             self._carried_scenario = self._carried = None
         return observation
 
-    def drop_carry(self):
-        """End the carry: the next :meth:`observe` samples afresh."""
-        self._carried_scenario = self._carried = None
-
     def carries(self, observation):
         """Whether :meth:`observe` would return ``observation`` now."""
         return (observation is self._carried

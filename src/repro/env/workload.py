@@ -18,7 +18,7 @@ timed :class:`InferenceRequest` streams for episode-level simulations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import List
 
 from repro.common import ConfigError, make_rng
 

@@ -13,7 +13,7 @@ checks in CI fashion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 from repro.baselines.oracle import OptOracle
 from repro.env.environment import EdgeCloudEnvironment

@@ -8,9 +8,6 @@ measures predictors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
 import numpy as np
 
 from repro.baselines.bayesian import BayesianOptScheduler
@@ -24,7 +21,7 @@ from repro.baselines.static import EdgeCpuFp32
 from repro.common import SimulationError, make_rng
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
-from repro.env.target import ExecutionTarget, Location
+from repro.env.target import Location
 from repro.evalharness.metrics import (
     EpisodeStats,
     mape,

@@ -29,7 +29,7 @@ disabled the episode is bit-identical to an unguarded one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common import ConfigError, UnknownKeyError, make_rng
 from repro.core.tracing import TraceRecorder

@@ -26,7 +26,6 @@ from repro.baselines.static import (
     EdgeCpuFp32,
 )
 from repro.common import make_rng
-from repro.core.action import ActionSpace
 from repro.core.engine import AutoScale
 from repro.core.qlearning import QLearningConfig
 from repro.core.transfer import transfer_q_table
@@ -37,7 +36,6 @@ from repro.evalharness.metrics import EpisodeStats, mape
 from repro.evalharness.reporting import format_kv, format_table
 from repro.evalharness.runner import (
     RunConfig,
-    adapt_engine,
     evaluate_autoscale,
     evaluate_scheduler,
     loo_train_and_evaluate,

@@ -24,7 +24,7 @@ import numpy as np
 from repro.baselines.oracle import OptOracle
 from repro.core.convergence import episodes_to_converge
 from repro.core.engine import AutoScale
-from repro.core.transfer import map_actions, transfer_q_table
+from repro.core.transfer import transfer_q_table
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
 from repro.evalharness.metrics import decision_match

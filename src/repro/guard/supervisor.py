@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common import ConfigError
 from repro.guard.detectors import (

@@ -14,7 +14,6 @@ rails.  Dynamic power then scales as V^2 * f (see ``repro.hardware.power``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.common import ConfigError
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.common import ConfigError
-from repro.models.layers import LayerType
 from repro.models.network import NeuralNetwork
 
 __all__ = ["validate_network", "assert_valid_network"]

@@ -19,7 +19,6 @@ behaviours the paper's experiments rely on:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.common import ConfigError, UnknownKeyError
 from repro.models.layers import LayerType, make_layer

@@ -2,7 +2,9 @@
 
 :class:`ServingPipeline` stands in front of one
 :class:`~repro.core.service.AutoScaleService` and replays an open-loop
-arrival stream on the environment's virtual clock:
+arrival stream on the environment's virtual clock, reading it from a
+cursor over the ``(at_ms, name)``-sorted stream (arrivals never enter
+the event kernel's heap):
 
 1. Arrivals due at the current virtual time enter the bounded admission
    queue (or are shed ``QUEUE_FULL`` under backpressure), carrying a
@@ -23,7 +25,8 @@ There is one drain, and it runs per request under every configuration
 (static or dynamic scenario, frozen or training, guard, brownout,
 retries).  Its observations and states come from the engine's one carry
 rule (:meth:`~repro.core.engine.AutoScale.observe`); the pipeline keeps
-only a per-serve memo of each network's feasibility floor.  Neither
+only a per-serve memo of each network's feasibility floor and, for a
+frozen table, of each coalescing group's decision.  None of them
 changes an observable: trace rows, Q-table bytes, shed ledgers, RNG
 streams and the virtual clock are what they would be without them.
 
@@ -36,7 +39,6 @@ shedder and the brownout controller draw no RNG.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -46,7 +48,6 @@ from repro.analysis.contracts import ensure_duration_ms
 from repro.common import ConfigError
 from repro.guard import GuardConfig, GuardStage, PolicyGuard
 from repro.serving.arrivals import Arrival
-from repro.sim.events import EventKind
 from repro.serving.brownout import (
     BrownoutConfig,
     BrownoutController,
@@ -60,6 +61,7 @@ from repro.serving.shedder import (
     SheddedRequest,
     min_feasible_latency_ms,
 )
+from repro.sim.events import EventKind
 
 __all__ = ["ServingConfig", "ServedRequest", "ServingPipeline"]
 
@@ -158,8 +160,8 @@ class ServingPipeline:
         self.guard = (getattr(service, "guard", None)
                       or PolicyGuard(GuardConfig.disabled()))
         self._guard_handle = None
-        # The floor memo and its tag (see _floor_memo).
-        self._floors, self._floor_tag = {}, None
+        # The per-serve floor and decision memos and their tag.
+        self._floors, self._decisions, self._memo_tag = {}, {}, None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -199,38 +201,19 @@ class ServingPipeline:
     # ------------------------------------------------------------------
 
     def _serve_pipelined(self, ordered):
-        """Replay ``ordered`` as typed events on the environment's
-        event kernel.
+        """Replay ``ordered`` from a cursor, off the kernel's heap.
 
-        Every arrival is scheduled as an ``ARRIVAL`` event up front;
-        the kernel delivers them into a due-buffer as the clock passes
-        their timestamps (including mid-drain, while executions and
-        retry backoffs advance time), and the loop admits the buffer at
-        the top of each cycle — the same admission instants and order
-        as the pre-kernel sweep, with the timeline now explicit.
+        Each cycle fires the kernel events now due, then admits every
+        arrival at or before now; an idle queue jumps the clock to the
+        next arrival.  Arrivals passed mid-drain wait for the next cycle
+        top, where an event per arrival would have delivered them too.
+        The engine's carry outlives the serve; the memos do not.
         """
         env = self.service.environment
         kernel = env.kernel
-        # Each serve starts from scratch: its first drain observes at
-        # its own time and recomputes the floors, so nothing the caller
-        # changed on the environment between serves can leak in.
-        self.service.engine.drop_carry()
-        self._floor_tag = None
+        self._memo_tag = None
         outcomes: List[ServedRequest] = []
-        due: "deque[Arrival]" = deque()
-        # Times of arrivals the kernel has not delivered yet; events
-        # fire in (time_ms, seq) order and we schedule in sorted order,
-        # so deliveries pop this deque front-to-back.
-        pending_ms: "deque[float]" = deque()
-
-        def deliver(event):
-            pending_ms.popleft()
-            due.append(event.payload)
-
-        for arrival in ordered:
-            kernel.schedule(arrival.at_ms, EventKind.ARRIVAL,
-                            payload=arrival, callback=deliver)
-            pending_ms.append(arrival.at_ms)
+        count, cursor = len(ordered), 0
         if self.guard.enabled:
             # A restored guard may already be escalated: actuate its
             # stage before the first request, then start the periodic
@@ -244,14 +227,13 @@ class ServingPipeline:
             while True:
                 kernel.fire_due()
                 now_ms = env.clock.now_ms
-                while due:
-                    self._admit(due.popleft(), now_ms, outcomes)
+                while cursor < count and ordered[cursor].at_ms <= now_ms:
+                    self._admit(ordered[cursor], now_ms, outcomes)
+                    cursor += 1
                 if self.queue.depth == 0:
-                    if not pending_ms:
+                    if cursor == count:
                         return outcomes
-                    # Idle: jump the clock to the next arrival (the
-                    # advance fires its event, filling the due-buffer).
-                    env.advance_clock_to(pending_ms[0])
+                    env.advance_clock_to(ordered[cursor].at_ms)
                     continue
                 self._drain_cycle(outcomes)
         finally:
@@ -369,16 +351,26 @@ class ServingPipeline:
             return (use_case.network.name, state, use_case.name)
         return (use_case.network.name, state)
 
-    def _floor_memo(self, observation, mask):
-        """The per-network feasibility floors, kept from the previous
-        drain of this serve while the drain observation is the same
-        object and the combined mask has the same bytes."""
+    def _memos(self, observation, mask):
+        """This serve's memos for one drain: ``(floors, decisions)``.
+
+        The per-network feasibility floors are kept from the previous
+        drain while the drain observation is the same object and the
+        combined mask has the same bytes.  The frozen table's group
+        decisions are kept while the Q-table's ``update_count`` holds
+        too; :meth:`_drain_cycle` reads or fills them only while the
+        engine is frozen, not shadowing, and that count still holds.
+        """
         mask_bytes = None if mask is None else mask.tobytes()
-        tag = self._floor_tag
+        updates = self.service.engine.qtable.update_count
+        tag = self._memo_tag
         if tag is None or tag[0] is not observation \
                 or tag[1] != mask_bytes:
-            self._floors, self._floor_tag = {}, (observation, mask_bytes)
-        return self._floors
+            self._floors, self._decisions = {}, {}
+        elif tag[2] != updates:
+            self._decisions = {}
+        self._memo_tag = (observation, mask_bytes, updates)
+        return self._floors, self._decisions
 
     def _drain_cycle(self, outcomes):
         """One drain: observe once, shed the hopeless, coalesce the rest.
@@ -390,12 +382,15 @@ class ServingPipeline:
         :meth:`~repro.core.engine.AutoScale.step_with_action`.
 
         The drain observes and encodes through the engine's carry.  A
-        network's floor is memoized (:meth:`_floor_memo`) while the
-        engine still carries the drain observation.  Once a kernel
-        ``TIMER`` swaps the scenario mid-drain, the floor is re-judged
-        per request against a sample taken in this drain, refreshed
-        whenever the clock has moved; a carried observation may predate
-        the drain, so it never stands in as that sample.
+        network's floor is memoized (:meth:`_memos`) while the engine
+        still carries the drain observation.  Once a kernel ``TIMER``
+        swaps the scenario mid-drain, the floor is re-judged per request
+        against a sample taken in this drain, refreshed whenever the
+        clock has moved; a carried observation may predate the drain,
+        so it never stands in as that sample.  A group's decision is
+        taken from the memo only if, when the group first appears in
+        this drain, the engine is frozen, not shadowing, and has made
+        no Q write since the drain began.
         """
         service = self.service
         env = service.environment
@@ -405,7 +400,8 @@ class ServingPipeline:
         mask = self._combined_mask()
         browned = self.brownout.tier is not BrownoutTier.NORMAL
         observation = engine.observe()
-        floors = self._floor_memo(observation, mask)
+        floors, memo = self._memos(observation, mask)
+        updates = engine.qtable.update_count
         # One selection per (network, state) group; execution, reward,
         # and Q update stay per-request via step_with_action.
         decisions = {}
@@ -455,7 +451,13 @@ class ServingPipeline:
                 key = self._decision_key(use_case, state, shadowing,
                                          browned)
                 if key not in decisions:
-                    if shadowing:
+                    # A timer may have turned training on since the
+                    # drain began, so this is judged per group.
+                    frozen = (not shadowing and not engine.training
+                              and engine.qtable.update_count == updates)
+                    if frozen and key in memo:
+                        decisions[key] = memo[key]
+                    elif shadowing:
                         # SHADOW/DEGRADE: the nominal-argmin baseline
                         # decides (zero extra energy — the sweep is the
                         # cached cost model, not an execution); the Q
@@ -470,6 +472,8 @@ class ServingPipeline:
                     else:
                         decisions[key] = engine.select_action(state,
                                                               allowed=mask)
+                    if frozen:
+                        memo[key] = decisions[key]
                 action, explored = decisions[key]
                 step = engine.step_with_action(
                     use_case, action, observation, explored=explored,
@@ -609,16 +613,11 @@ class ServingPipeline:
     def _combined_mask(self):
         """Breaker mask AND brownout mask (``None`` = everything)."""
         service = self.service
-        space = service.engine.action_space
-        masks = [mask for mask in (service.action_mask(),
-                                   self.brownout.mask(space))
-                 if mask is not None]
-        if not masks:
-            return None
-        combined = masks[0].copy()
-        for mask in masks[1:]:
-            combined &= mask
-        return combined
+        breakers = service.action_mask()
+        brownout = self.brownout.mask(service.engine.action_space)
+        if breakers is None:
+            return None if brownout is None else brownout.copy()
+        return breakers.copy() if brownout is None else breakers & brownout
 
     # ------------------------------------------------------------------
     # Introspection

@@ -27,7 +27,6 @@ __all__ = ["EventKind", "Event", "EventHandle"]
 class EventKind(enum.Enum):
     """What a scheduled timeline event represents."""
 
-    ARRIVAL = "arrival"            # an open-loop request arrival
     RETRY = "retry"                # a resilient-path backoff expiring
     OUTAGE_START = "outage_start"  # a remote location going dark
     OUTAGE_END = "outage_end"      # a remote location coming back
@@ -44,7 +43,7 @@ class Event:
         kind: the typed discriminator (:class:`EventKind`).
         seq: kernel-assigned monotonic sequence number; the deterministic
             tie-breaker for events due at the same instant.
-        payload: opaque subscriber data (an arrival, an outage window).
+        payload: opaque subscriber data (an outage window, a timer tag).
     """
 
     time_ms: float

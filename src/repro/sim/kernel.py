@@ -3,10 +3,11 @@
 :class:`EventKernel` owns every write to the shared virtual clock
 (reprolint's RL103 approves exactly this module's ``advance_by`` /
 ``advance_to`` / ``rewind`` plus the :class:`~repro.common.Stopwatch`
-primitive itself).  Timeline producers — arrival replay, retry backoff,
-outage windows — schedule typed :class:`~repro.sim.events.Event`\\ s on
-the heap instead of sweeping time with private arithmetic, and the
-kernel dispatches them in deterministic ``(time_ms, seq)`` order.
+primitive itself).  Timeline producers — retry backoff, outage
+windows, guard ticks, timers — schedule typed
+:class:`~repro.sim.events.Event`\\ s on the heap instead of sweeping
+time with private arithmetic, and the kernel dispatches them in
+deterministic ``(time_ms, seq)`` order.
 
 Dispatch model — **advance, then fire**:
 
@@ -32,7 +33,7 @@ import heapq
 from typing import Callable, List, Optional
 
 from repro.common import ConfigError
-from repro.sim.events import Event, EventHandle, EventKind
+from repro.sim.events import Event, EventHandle
 
 __all__ = ["EventKernel"]
 
@@ -112,20 +113,20 @@ class EventKernel:
         re-reads the heap top, so chained same-instant events (an outage
         end scheduling the next period's start) settle in one call.
         """
-        if not self._heap:  # fast path: the idle-timeline case
-            return []
-        fired: List[Event] = []
+        heap = self._heap
+        if heap and heap[0][2].cancelled:
+            self._drop_cancelled()
         now_ms = self.clock.now_ms
-        while True:
-            next_ms = self.next_time_ms()
-            if next_ms is None or next_ms > now_ms:
-                return fired
-            _, _, handle = heapq.heappop(self._heap)
+        fired: List[Event] = []
+        while heap and heap[0][0] <= now_ms:
+            handle = heapq.heappop(heap)[2]
             handle.fired = True
             self.fired += 1
             fired.append(handle.event)
             if handle.callback is not None:
                 handle.callback(handle.event)
+            self._drop_cancelled()
+        return fired
 
     def advance_by(self, delta_ms):
         """Advance the clock by ``delta_ms``, then fire what came due.

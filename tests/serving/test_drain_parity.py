@@ -3,12 +3,19 @@
 The pipeline has one drain.  What separates it from plain per-request
 serving is the engine's observation carry (``AutoScale.observe`` and
 ``AutoScale.state_of``) and the pipeline's per-network feasibility-floor
-memo (``ServingPipeline._floor_memo``).  The acceptance property: every
+memo (``ServingPipeline._memos``).  The acceptance property: every
 observable — outcome measurements, trace rows, Q-table bytes, visit
 counts, both RNG streams' bit-generator states, the virtual clock, and
 the shed ledger — is byte-equal to :class:`ScalarReferencePipeline`, a
 test-local copy of the drain that observes through ``env.observe()``,
 encodes and sweeps per request with no memo of its own.
+
+:class:`EventReplayPipeline` is the second oracle: the reference drain
+fed by the event-heap arrival replay the pipeline used before it read
+the sorted stream from a cursor (one kernel event per arrival, buffered
+until the loop top).  It pins admission instants and order, arrivals
+tied with kernel events and behind the clock included, and the frozen
+decision memo against a drain that decides afresh every time.
 
 The cases cover training and frozen selection, brownout, multi-network
 batches, mid-batch expiry, a dynamic scenario, the resilient retry path
@@ -21,6 +28,7 @@ the use-case-keyed coalescing regression (two use cases sharing a
 """
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -30,6 +38,7 @@ from repro.core.service import AutoScaleService
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import UseCase, use_case_for
 from repro.env.scenarios import build_scenario
+from repro.faults.breaker import BreakerConfig, CircuitBreaker
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.resilience import ResiliencePolicy
 from repro.guard import GuardConfig, GuardStage, PolicyGuard
@@ -143,6 +152,51 @@ class ScalarReferencePipeline(ServingPipeline):
             ))
 
 
+class EventReplayPipeline(ScalarReferencePipeline):
+    """The reference drain fed by event-heap arrival replay: every
+    arrival is scheduled up front as a kernel event whose callback
+    buffers it, and the loop admits the buffer at the top of each
+    cycle."""
+
+    def _serve_pipelined(self, ordered):
+        env = self.service.environment
+        kernel = env.kernel
+        outcomes = []
+        due = deque()
+        pending_ms = deque()
+
+        def deliver(event):
+            pending_ms.popleft()
+            due.append(event.payload)
+
+        for arrival in ordered:
+            kernel.schedule(arrival.at_ms, EventKind.TIMER,
+                            payload=arrival, callback=deliver)
+            pending_ms.append(arrival.at_ms)
+        if self.guard.enabled:
+            self._apply_guard_stage()
+            self._guard_handle = kernel.schedule_in(
+                self.guard.config.tick_interval_ms, EventKind.GUARD_TICK,
+                callback=self._on_guard_tick,
+            )
+        try:
+            while True:
+                kernel.fire_due()
+                now_ms = env.clock.now_ms
+                while due:
+                    self._admit(due.popleft(), now_ms, outcomes)
+                if self.queue.depth == 0:
+                    if not pending_ms:
+                        return outcomes
+                    env.advance_clock_to(pending_ms[0])
+                    continue
+                self._drain_cycle(outcomes)
+        finally:
+            if self._guard_handle is not None:
+                self._guard_handle.cancel()
+                self._guard_handle = None
+
+
 def _service(seed, scenario="S1", faults=None, resilience=None,
              guard=None):
     env = EdgeCloudEnvironment(build_device("mi8pro"), scenario=scenario,
@@ -217,16 +271,18 @@ def _assert_bit_identical(fast, reference):
 
 
 def _parity(seed, cases_of, arrivals_of, config, learning=True,
-            pretrain=0, service_options_of=None, setup=None):
+            pretrain=0, service_options_of=None, setup=None,
+            pipeline_class=ServingPipeline,
+            oracle=ScalarReferencePipeline):
     """Run the drain and the oracle on twin services; both results are
     returned and asserted byte-equal."""
     runs = [
-        _run(pipeline_class, seed, cases_of(), arrivals_of(), config,
+        _run(cls, seed, cases_of(), arrivals_of(), config,
              learning=learning, pretrain=pretrain,
              service_options=(service_options_of()
                               if service_options_of else None),
              setup=setup)
-        for pipeline_class in (ServingPipeline, ScalarReferencePipeline)
+        for cls in (pipeline_class, oracle)
     ]
     _assert_bit_identical(runs[0], runs[1])
     return runs[0], runs[1]
@@ -458,7 +514,7 @@ class TestMemoPredicate:
         pipeline = ServingPipeline(service)
 
         def floors_for(mask):
-            return pipeline._floor_memo(engine.observe(), mask)
+            return pipeline._memos(engine.observe(), mask)[0]
 
         mask = np.ones(len(engine.action_space), dtype=bool)
         floors = floors_for(None)
@@ -687,3 +743,349 @@ class TestUseCaseKeyedCoalescing:
         assert by_name["loose"].target_key == space.target(cheapest).key
         assert by_name["tight"].target_key \
             == space.target(expected_tight).key
+
+
+class TestArrivalReplayParity:
+    """The cursor replay against :class:`EventReplayPipeline`: the same
+    admission instants and order with arrivals tied to every other kind
+    of kernel event, behind the clock, and at the stream's edges."""
+
+    @pytest.mark.parametrize("resilient", [False, True],
+                             ids=["drain", "resilient"])
+    def test_arrivals_tied_with_guard_ticks_outages_and_a_timer(
+            self, zoo, resilient):
+        """Arrivals land exactly on guard ticks (every 1 s), on the
+        cloud outage's boundaries (2 s, 5 s, 10 s, 13 s, 18 s) and on
+        the drift ``TIMER`` (6 s)."""
+        case = use_case_for(zoo["mobilenet_v3"])
+
+        def options():
+            return dict(
+                faults=FaultPlan(outages=(OutageWindow(
+                    "cloud", start_ms=2_000.0, duration_ms=3_000.0,
+                    period_ms=8_000.0),)),
+                resilience=ResiliencePolicy() if resilient else None,
+                guard=PolicyGuard(GuardConfig()),
+            )
+
+        def arrivals():
+            return [Arrival(1_000.0 * second, case.name)
+                    for second in range(21) for _ in range(3)]
+
+        fast, _ = _parity(
+            79, lambda: [case], arrivals,
+            dict(deadline=DeadlinePolicy(qos_factor=20.0)),
+            pretrain=20, service_options_of=options,
+            setup=lambda service: _swap_at(service, 6_000.0,
+                                           build_scenario("D4")),
+            oracle=EventReplayPipeline,
+        )
+        assert fast[0].environment.scenario.name == "D4"
+        assert fast[1].guard.status()["ticks"] >= 20
+
+    def test_arrivals_behind_the_clock_at_serve_start(self, zoo):
+        """The clock already stands at 5 s: the first ten arrivals are
+        admitted at once, in order, with their queueing delay."""
+        case = use_case_for(zoo["mobilenet_v3"])
+        fast, _ = _parity(
+            83, lambda: [case],
+            lambda: [Arrival(500.0 * index, case.name)
+                     for index in range(20)],
+            dict(deadline=DeadlinePolicy(qos_factor=200.0)),
+            setup=lambda service: service.environment.advance_clock_to(
+                5_000.0),
+            oracle=EventReplayPipeline,
+        )
+        assert fast[2][0].queue_delay_ms == 5_000.0
+
+    def test_empty_stream(self, zoo):
+        case = use_case_for(zoo["mobilenet_v3"])
+        fast, _ = _parity(
+            89, lambda: [case], lambda: [], {},
+            service_options_of=lambda: dict(
+                guard=PolicyGuard(GuardConfig())),
+            oracle=EventReplayPipeline,
+        )
+        assert fast[2] == []
+        assert fast[0].environment.clock.now_ms == 0.0
+
+    def test_single_arrival(self, zoo):
+        case = use_case_for(zoo["mobilenet_v3"])
+        fast, _ = _parity(
+            97, lambda: [case], lambda: [Arrival(1_234.5, case.name)], {},
+            oracle=EventReplayPipeline,
+        )
+        assert [served.delivered for served in fast[2]] == [True]
+        assert fast[2][0].queue_delay_ms == 0.0
+
+
+class _DecisionLog(ServingPipeline):
+    """The production pipeline, logging each decision it makes: which
+    decider ran, and the virtual time."""
+
+    def __init__(self, service, config=None):
+        super().__init__(service, config)
+        self.decisions = []
+        clock = service.environment.clock
+        select = service.engine.select_action
+
+        def select_action(state, explore=None, allowed=None):
+            self.decisions.append(("select", clock.now_ms))
+            return select(state, explore=explore, allowed=allowed)
+
+        service.engine.select_action = select_action
+
+    def _shadow_action(self, use_case, observation, mask, local_only):
+        self.decisions.append(
+            ("shadow", self.service.environment.clock.now_ms))
+        return super()._shadow_action(use_case, observation, mask,
+                                      local_only)
+
+    def _brownout_action(self, use_case, observation, mask):
+        self.decisions.append(
+            ("brownout", self.service.environment.clock.now_ms))
+        return super()._brownout_action(use_case, observation, mask)
+
+
+def _at(stage, service):
+    """A kernel-timer callback that moves the guard to ``stage`` and
+    actuates it on the engine, as a guard tick would."""
+    def shift(event):
+        service.guard.stage = stage
+        ServingPipeline(service)._apply_guard_stage()
+    return shift
+
+
+class TestDecisionMemo:
+    """A frozen table decides once per coalescing group for as long as
+    the memo's tag holds — drain observation, mask bytes, Q-table
+    ``update_count`` — and re-decides when any part moves; a training
+    or shadowing engine decides in every drain, also when a timer
+    turns training on inside one.  Every case is byte-equal to
+    :class:`EventReplayPipeline`, which decides afresh in every
+    drain."""
+
+    @staticmethod
+    def _parity(cases, arrivals, config=None, **options):
+        return _parity(
+            101, lambda: cases, lambda: arrivals,
+            config or dict(queue_capacity=None,
+                           deadline=DeadlinePolicy(qos_factor=100.0),
+                           brownout=BrownoutConfig.disabled()),
+            pipeline_class=_DecisionLog, oracle=EventReplayPipeline,
+            **options)
+
+    @staticmethod
+    def _bursts(name, sizes):
+        return [Arrival(20_000.0 * burst, name)
+                for burst, size in enumerate(sizes) for _ in range(size)]
+
+    def test_frozen_multi_drain_serve_decides_once_per_group(self, zoo):
+        """Two networks, four drains: one selection per network."""
+        cases = [use_case_for(zoo["mobilenet_v3"]),
+                 use_case_for(zoo["resnet_50"])]
+        arrivals = [Arrival(20_000.0 * burst, cases[index % 2].name)
+                    for burst in range(4) for index in range(6)]
+        fast, reference = self._parity(cases, arrivals, learning=False,
+                                       pretrain=30)
+        # Both in the first drain, each at its network's first request.
+        assert [kind for kind, _ in fast[1].decisions] == ["select"] * 2
+        assert all(at_ms < 20_000.0 for _, at_ms in fast[1].decisions)
+        # Pretraining selected 2 x 30 times; the oracle then decides per
+        # network per drain.
+        assert reference[0].engine.overhead.select_us.count == 60 + 8
+
+    def test_breaker_trip_forces_a_new_decision(self, zoo):
+        """A breaker opened at 30 s on the frozen table's pick narrows
+        the mask: the 40 s drain decides again, away from that target,
+        and the 60 s drain reuses it."""
+        case = use_case_for(zoo["mobilenet_v3"])
+        tripped = []
+
+        def setup(service):
+            def trip(event):
+                key = service.engine.history[-1].target_key
+                breaker = CircuitBreaker(BreakerConfig(
+                    failure_threshold=1, cooldown_ms=1e9))
+                breaker.record_failure(event.time_ms)
+                service._breakers[key] = breaker
+                tripped.append(key)
+
+            service.environment.kernel.schedule(
+                30_000.0, EventKind.TIMER, callback=trip)
+
+        fast, _ = self._parity([case], self._bursts(case.name, [4] * 4),
+                               learning=False, pretrain=30, setup=setup)
+        assert fast[1].decisions == [("select", 0.0),
+                                     ("select", 40_000.0)]
+        assert fast[0].engine.history[-1].target_key != tripped[0]
+
+    def test_brownout_tier_change_forces_a_new_decision(self, zoo):
+        """NORMAL at 0 s, REDUCED_PRECISION for the 10-request burst at
+        20 s, NORMAL again at 40 s (patience 1): each tier change
+        changes the mask bytes and drops the memo, so 40 s selects
+        again; 60 s reuses."""
+        case = use_case_for(zoo["mobilenet_v3"])
+        config = dict(queue_capacity=None,
+                      deadline=DeadlinePolicy(qos_factor=100.0),
+                      brownout=BrownoutConfig(enter_depth=8, exit_depth=2,
+                                              patience=1))
+        fast, _ = self._parity([case], self._bursts(case.name, [1, 10, 1, 1]),
+                               config, learning=False, pretrain=30)
+        assert fast[1].decisions == [("select", 0.0),
+                                     ("brownout", 20_000.0),
+                                     ("select", 40_000.0)]
+        assert fast[1].brownout.deescalations == 1
+
+    def test_guard_shadow_round_trip_forces_a_new_decision(self, zoo):
+        """SHADOW from 30 s to 70 s: the shadow baseline decides in each
+        of its drains (the guard forces training on), and back at
+        HEALTHY the frozen table selects again at 80 s."""
+        case = use_case_for(zoo["mobilenet_v3"])
+
+        def setup(service):
+            kernel = service.environment.kernel
+            kernel.schedule(30_000.0, EventKind.TIMER,
+                            callback=_at(GuardStage.SHADOW, service))
+            kernel.schedule(70_000.0, EventKind.TIMER,
+                            callback=_at(GuardStage.HEALTHY, service))
+
+        fast, _ = self._parity(
+            [case], self._bursts(case.name, [3] * 6),
+            learning=False, pretrain=30, setup=setup,
+            # Ticks far apart: only the timers move the stage.
+            service_options_of=lambda: dict(guard=PolicyGuard(
+                GuardConfig(tick_interval_ms=1e9))),
+        )
+        assert fast[1].decisions == [("select", 0.0),
+                                     ("shadow", 40_000.0),
+                                     ("shadow", 60_000.0),
+                                     ("select", 80_000.0)]
+        assert not fast[0].engine.training
+
+    def test_training_engine_decides_per_drain(self, zoo):
+        case = use_case_for(zoo["mobilenet_v3"])
+        fast, _ = self._parity([case], self._bursts(case.name, [5] * 4))
+        assert fast[1].decisions == [("select", 20_000.0 * burst)
+                                     for burst in range(4)]
+
+    def test_learning_switched_on_mid_serve_decides_per_drain(self, zoo):
+        """Learning on from 30 s to 50 s with no other part of the tag
+        moving: the 40 s drain selects (and may explore) instead of
+        reusing the frozen pick, and the Q writes it makes force the
+        frozen 60 s drain to select again."""
+        case = use_case_for(zoo["mobilenet_v3"])
+
+        def setup(service):
+            def learning(enabled):
+                return lambda event: service.set_learning(enabled)
+
+            kernel = service.environment.kernel
+            kernel.schedule(30_000.0, EventKind.TIMER,
+                            callback=learning(True))
+            kernel.schedule(50_000.0, EventKind.TIMER,
+                            callback=learning(False))
+
+        fast, _ = self._parity([case], self._bursts(case.name, [5] * 5),
+                               learning=False, pretrain=30, setup=setup)
+        assert fast[1].decisions == [("select", 0.0),
+                                     ("select", 40_000.0),
+                                     ("select", 60_000.0)]
+
+    @pytest.mark.parametrize("switch", ["readapt", "learning"])
+    def test_learning_switched_on_inside_a_drain(self, zoo, switch):
+        """Two networks alternate in each burst of a frozen serve.  A
+        timer just after the second burst starts turns training on
+        (a READAPT guard stage, or ``set_learning(True)``) while that
+        drain executes: its first request reuses the memo, but the
+        other network's first request selects with exploration on, as
+        a drain that decides afresh does."""
+        cases = [use_case_for(zoo["mobilenet_v3"]),
+                 use_case_for(zoo["resnet_50"])]
+        arrivals = [Arrival(20_000.0 * burst, cases[index % 2].name)
+                    for burst in range(2) for index in range(6)]
+
+        def setup(service):
+            if switch == "readapt":
+                callback = _at(GuardStage.READAPT, service)
+            else:
+                def callback(event):
+                    service.set_learning(True)
+            service.environment.kernel.schedule(
+                20_000.001, EventKind.TIMER, callback=callback)
+
+        fast, _ = self._parity(
+            cases, arrivals, learning=False, pretrain=30, setup=setup,
+            service_options_of=lambda: dict(guard=PolicyGuard(
+                GuardConfig(tick_interval_ms=1e9))),
+        )
+        assert fast[0].engine.training
+        # One selection per network in the first drain, then only the
+        # one made after the timer in the second.
+        times = [at_ms for _, at_ms in fast[1].decisions]
+        assert len(times) == 3
+        assert times[1] < 20_000.0 < 20_000.001 < times[2]
+
+    def test_learning_switched_on_and_off_inside_a_drain(self, zoo):
+        """Three networks per burst.  Learning comes on while the second
+        drain's first request executes, whose Q write schedules learning
+        off again while the second executes.  The third network finds
+        the engine frozen but the table written since the drain began,
+        so it selects afresh instead of reusing the memo (a Q write can
+        move a frozen pick: unvisited states fall back to a sibling)."""
+        cases = [use_case_for(zoo["mobilenet_v3"]),
+                 use_case_for(zoo["resnet_50"]),
+                 use_case_for(zoo["mobilebert"])]
+        arrivals = [Arrival(20_000.0 * burst, case.name)
+                    for burst in range(2) for case in cases]
+
+        def setup(service):
+            kernel = service.environment.kernel
+            update = service.engine.qtable.update
+
+            def update_then_freeze(*args, **kwargs):
+                kernel.schedule_in(
+                    0.001, EventKind.TIMER,
+                    callback=lambda event: service.set_learning(False))
+                return update(*args, **kwargs)
+
+            service.engine.qtable.update = update_then_freeze
+            kernel.schedule(20_000.001, EventKind.TIMER,
+                            callback=lambda event: service.set_learning(True))
+
+        fast, _ = self._parity(cases, arrivals, learning=False,
+                               pretrain=30, setup=setup)
+        assert not fast[0].engine.training
+        assert fast[0].engine.qtable.update_count == 3 * 30 + 1
+        times = [at_ms for _, at_ms in fast[1].decisions]
+        assert len(times) == 5
+        assert times[2] < 20_000.0 < times[3] < times[4]
+
+    def test_decisions_follow_the_tag(self):
+        """Unit view of the tag: a Q-table write drops the decisions and
+        keeps the floors; a mask change drops both; the brownout tier
+        and the guard stage are not part of it."""
+        service = _service(61)
+        engine = service.engine
+        pipeline = ServingPipeline(service)
+        observation = engine.observe()
+        floors, decisions = pipeline._memos(observation, None)
+        assert pipeline._memos(observation, None) == (floors, decisions)
+        assert pipeline._memos(observation, None)[1] is decisions
+
+        def changed(mask=None):
+            nonlocal decisions
+            now_floors, now_decisions = pipeline._memos(observation, mask)
+            fresh = now_decisions is not decisions
+            decisions = now_decisions
+            return now_floors is floors, fresh
+
+        pipeline.brownout.tier = BrownoutTier.REDUCED_PRECISION
+        pipeline.guard.stage = GuardStage.SHADOW
+        assert changed() == (True, False)
+        engine.qtable.update(0, 0, 1.0, 0)
+        assert changed() == (True, True)
+        assert changed() == (True, False)
+        mask = np.ones(len(engine.action_space), dtype=bool)
+        mask[0] = False
+        assert changed(mask) == (False, True)
