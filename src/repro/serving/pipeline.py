@@ -65,6 +65,8 @@ from repro.sim.events import EventKind
 
 __all__ = ["ServingConfig", "ServedRequest", "ServingPipeline"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -130,6 +132,14 @@ class ServedRequest:
     tier: str = "normal"
 
     def __post_init__(self):
+        # One chained comparison accepts every valid delay (NaN fails
+        # it); anything else goes through the named check, which raises
+        # the precise contract violation.
+        try:
+            if 0.0 <= self.queue_delay_ms < _INF:
+                return
+        except (TypeError, ValueError):
+            pass
         ensure_duration_ms(self.queue_delay_ms, "queue_delay_ms")
 
     @property

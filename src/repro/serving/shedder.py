@@ -36,6 +36,8 @@ __all__ = [
     "min_feasible_latency_ms",
 ]
 
+_INF = float("inf")
+
 
 class ShedReason(enum.Enum):
     """Why the pipeline refused to execute a request."""
@@ -76,6 +78,16 @@ class SheddedRequest:
     failed = False
 
     def __post_init__(self):
+        # One chained comparison accepts every valid request (NaN fails
+        # every comparison); anything else goes through the named checks
+        # below, which raise the precise contract violation.
+        try:
+            if (0.0 <= self.at_ms <= self.shed_at_ms < _INF
+                    and 0.0 <= self.deadline_ms < _INF
+                    and 0.0 <= self.queue_delay_ms < _INF):
+                return
+        except (TypeError, ValueError):
+            pass
         ensure_duration_ms(self.at_ms, "at_ms")
         ensure_duration_ms(self.shed_at_ms, "shed_at_ms")
         ensure_duration_ms(self.deadline_ms, "deadline_ms")

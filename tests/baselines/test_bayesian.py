@@ -12,7 +12,7 @@ from repro.baselines.bayesian import (
     normal_cdf,
     normal_pdf,
 )
-from repro.common import ConfigError, make_rng
+from repro.common import ConfigError
 from repro.env.qos import use_case_for
 
 

@@ -1,7 +1,5 @@
 """Tests for the Opt oracle."""
 
-import pytest
-
 from repro.baselines.oracle import OptOracle
 from repro.baselines.static import EdgeBest, EdgeCpuFp32
 from repro.env.environment import EdgeCloudEnvironment

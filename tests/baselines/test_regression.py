@@ -6,7 +6,6 @@ import pytest
 from repro.baselines.regression import (
     LinearRegression,
     LinearSVR,
-    RegressionScheduler,
     linear_regression_scheduler,
     svr_scheduler,
 )

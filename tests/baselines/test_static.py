@@ -1,7 +1,5 @@
 """Tests for the static baseline policies."""
 
-import pytest
-
 from repro.baselines.static import (
     CloudOffload,
     ConnectedEdgeOffload,

@@ -1,7 +1,5 @@
 """Edge-case behaviour of the engine that the main tests don't touch."""
 
-import pytest
-
 from repro.core.engine import AutoScale
 from repro.core.qlearning import QLearningConfig
 from repro.env.environment import EdgeCloudEnvironment

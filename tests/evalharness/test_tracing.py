@@ -38,7 +38,8 @@ class TestCapture:
         case = use_case_for(zoo["mobilenet_v3"])
         result = env.execute(case.network, env.targets()[0])
         recorder = TraceRecorder()
-        record = recorder.record_result(result, case)
+        recorder.record_result(result, case)
+        record = recorder.records[-1]
         assert record.reward is None
         assert record.target_key == result.target_key
 
@@ -195,6 +196,88 @@ class TestRollingWindow:
             recorder.record_result(env.execute(case.network, target),
                                    case)
         assert len(recorder) <= 10
+        # Indices count every row ever recorded, so they keep rising
+        # across trims instead of restarting at the kept length.
+        indices = [record.index for record in recorder.records]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        assert indices[-1] == 24
 
     def test_unbounded_by_default(self):
         assert TraceRecorder().max_records is None
+
+
+class TestContractsSwitch:
+    """The recorder reads ``REPRO_CONTRACTS`` once, when it is built."""
+
+    @pytest.fixture()
+    def step(self, zoo):
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+                                   seed=4)
+        case = use_case_for(zoo["mobilenet_v3"])
+        return AutoScale(env, seed=4).step(case), case
+
+    def test_checked_recorder_rejects_bad_row(self, step, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+        recorder = TraceRecorder()
+        # Flipping the switch after construction changes nothing.
+        monkeypatch.setenv("REPRO_CONTRACTS", "0")
+        with pytest.raises(ConfigError, match="status"):
+            recorder.record_step(*step, status="exploded")
+        with pytest.raises(ConfigError, match="retries"):
+            recorder.record_step(*step, retries=-1)
+        assert len(recorder) == 0
+
+    def test_unchecked_recorder_stores_bad_row(self, step, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "0")
+        recorder = TraceRecorder()
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+        recorder.record_step(*step, status="exploded")
+        assert len(recorder) == 1
+        # Reading a stored row back never re-validates it.
+        assert recorder.records[-1].status == "exploded"
+
+
+class TestRecordsView:
+    def test_sequence_surface(self, traced):
+        recorder, _ = traced
+        view = recorder.records
+        assert not isinstance(view, list)
+        assert len(view) == 30
+        assert view[-1] == view[29]
+        assert view[-1].index == 29
+        assert [r.index for r in view[5:8]] == [5, 6, 7]
+        assert [r.index for r in view] == list(range(30))
+        assert view[0] in view
+
+    def test_equality_with_views_and_lists(self, traced, tmp_path):
+        recorder, _ = traced
+        loaded = load_trace(recorder.save(tmp_path / "trace.jsonl"))
+        assert loaded.records == recorder.records
+        assert recorder.records == list(loaded.records)
+        assert list(loaded.records) == recorder.records
+        assert recorder.records != list(loaded.records)[:-1]
+        assert recorder.records != TraceRecorder().records
+
+    def test_append_stores_the_record_as_is(self, traced):
+        recorder, _ = traced
+        record = recorder.records[3]
+        recorder.records.append(record)
+        assert len(recorder) == 31
+        assert recorder.records[-1] == record
+
+    def test_roundtrip_keeps_original_indices(self, traced, tmp_path):
+        recorder, _ = traced
+        path = recorder.save(tmp_path / "trace.jsonl")
+        loaded = load_trace(path, max_records=10)
+        assert [r.index for r in loaded.records] == list(range(20, 30))
+        assert loaded.records == recorder.records[20:]
+
+    def test_load_continues_numbering(self, traced, tmp_path):
+        recorder, case = traced
+        loaded = load_trace(recorder.save(tmp_path / "trace.jsonl"),
+                            max_records=10)
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+                                   seed=4)
+        loaded.record_result(env.execute(case.network, env.targets()[0]),
+                             case)
+        assert loaded.records[-1].index == 30

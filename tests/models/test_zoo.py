@@ -10,7 +10,6 @@ from repro.models.zoo import (
     build_network,
     heavy_networks,
     light_networks,
-    load_zoo,
 )
 
 # Table III verbatim from the paper: (CONV, FC, RC).

@@ -67,7 +67,7 @@ def _samples(service, outcomes):
     found = {}
     candidates = [served.outcome for served in outcomes]
     candidates += list(outcomes) + [served.arrival for served in outcomes]
-    candidates += list(service.engine.history) + service.trace.records
+    candidates += list(service.engine.history) + list(service.trace.records)
     for candidate in candidates:
         found.setdefault(type(candidate), candidate)
     return found
