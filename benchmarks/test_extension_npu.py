@@ -37,13 +37,13 @@ def test_npu_tpu_extension(once, record_table):
             observation = env.observe()
             chosen = engine.predict(use_case.network, observation)
             result = env.estimate(use_case.network, chosen, observation)
-            optimal, opt_result = OptOracle(cache=False).evaluate(
+            optimal, opt_result = OptOracle().evaluate(
                 env, use_case, observation
             )
             # High accuracy target: INT8-only accelerators drop out.
             strict = use_case_for(build_network(name),
                                   accuracy_target=65.0)
-            strict_target, _ = OptOracle(cache=False).evaluate(
+            strict_target, _ = OptOracle().evaluate(
                 env, strict, observation
             )
             rows.append({

@@ -43,7 +43,6 @@ Sub-packages:
 
 from repro.common import ReproError, make_rng
 from repro.core import (
-    ActionSpace,
     AutoScale,
     QLearningConfig,
     QTable,
@@ -53,6 +52,7 @@ from repro.core import (
     transfer_q_table,
 )
 from repro.env import (
+    ActionSpace,
     EdgeCloudEnvironment,
     ExecutionTarget,
     Location,

@@ -19,7 +19,6 @@ from repro.baselines.features import (
     collect_dataset,
     encode_action,
     encode_context,
-    encode_pair,
 )
 from repro.baselines.mosaic import MosaicScheduler
 from repro.baselines.neurosurgeon import (
@@ -56,7 +55,6 @@ __all__ = [
     "collect_dataset",
     "encode_action",
     "encode_context",
-    "encode_pair",
     "MosaicScheduler",
     "LayerLatencyModel",
     "NeurosurgeonScheduler",

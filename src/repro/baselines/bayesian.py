@@ -22,10 +22,7 @@ import math
 import numpy as np
 
 from repro.baselines.base import Scheduler
-from repro.baselines.features import (
-    Standardizer,
-    encode_pair,
-)
+from repro.baselines.features import Standardizer, encode_pairs
 from repro.common import ConfigError, make_rng
 
 __all__ = ["GaussianProcess", "normal_cdf", "normal_pdf",
@@ -142,11 +139,11 @@ class BayesianOptScheduler(Scheduler):
             case_rows, case_energies_mj = [], []
             for _ in range(self.warmup):
                 observation = environment.observe()
-                target = targets[int(rng.integers(len(targets)))]
-                result = environment.execute(use_case.network, target,
-                                             observation)
-                row = encode_pair(use_case.network, observation, target,
-                                  environment)
+                index = int(rng.integers(len(targets)))
+                result = environment.execute(use_case.network,
+                                             targets[index], observation)
+                row = encode_pairs(use_case.network, observation, targets,
+                                   environment)[index]
                 case_rows.append(row)
                 case_energies_mj.append(np.log(result.energy_mj))
                 rows.append(row)
@@ -159,19 +156,15 @@ class BayesianOptScheduler(Scheduler):
                     scaler.transform(np.array(case_rows)),
                     np.array(case_energies_mj),
                 )
-                candidates = np.array([
-                    encode_pair(use_case.network, observation, target,
-                                environment)
-                    for target in targets
-                ])
+                candidates = encode_pairs(use_case.network, observation,
+                                          targets, environment)
                 mean, std = gp.predict(scaler.transform(candidates),
                                        return_std=True)
                 ei = expected_improvement(mean, std, min(case_energies_mj))
-                target = targets[int(np.argmax(ei))]
-                result = environment.execute(use_case.network, target,
-                                             observation)
-                row = encode_pair(use_case.network, observation, target,
-                                  environment)
+                index = int(np.argmax(ei))
+                result = environment.execute(use_case.network,
+                                             targets[index], observation)
+                row = candidates[index]
                 case_rows.append(row)
                 case_energies_mj.append(np.log(result.energy_mj))
                 rows.append(row)
@@ -187,11 +180,8 @@ class BayesianOptScheduler(Scheduler):
         """(energy mJ, latency ms) surrogate predictions for targets."""
         if self._energy_gp is None:
             raise ConfigError("bo scheduler not trained")
-        rows = np.array([
-            encode_pair(use_case.network, observation, target, environment)
-            for target in targets
-        ])
-        design = self._scaler.transform(rows)
+        design = self._scaler.transform(encode_pairs(
+            use_case.network, observation, targets, environment))
         return (np.exp(self._energy_gp.predict(design)),
                 np.exp(self._latency_gp.predict(design)))
 

@@ -141,7 +141,7 @@ class ClassificationScheduler(Scheduler):
                        samples_per_case=40):
         """Profile contexts and label them with the Opt oracle."""
         rng = make_rng(rng)
-        oracle = OptOracle(cache=False)
+        oracle = OptOracle()
         rows, labels = [], []
         for use_case in use_cases:
             for _ in range(samples_per_case):

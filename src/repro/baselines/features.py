@@ -26,7 +26,6 @@ __all__ = [
     "encode_context",
     "encode_action",
     "encode_actions",
-    "encode_pair",
     "encode_pairs",
     "vf_fraction_for",
     "Standardizer",
@@ -101,50 +100,6 @@ def vf_fraction_for(target, environment):
     return step.freq_mhz / proc.max_freq_mhz
 
 
-def encode_pair(network, observation, target, environment=None):
-    """Full feature vector for (context, action) regression.
-
-    Adds the interaction terms that make log-energy/log-latency roughly
-    linear in the features: workload size crossed with the executing
-    engine, link weakness crossed with the offload path, and co-runner
-    load crossed with local execution.
-    """
-    context = encode_context(network, observation)
-    action = encode_action(target,
-                           vf_fraction_for(target, environment))
-    log_macs = context[3]
-    is_local = action[0]
-    is_cloud = action[1]
-    is_connected = action[2]
-    weak_wlan = context[8]
-    weak_p2p = context[9]
-    roles_start = len(_LOCATIONS)
-    precisions_start = roles_start + len(_ROLES)
-    role_onehot = action[roles_start:precisions_start]
-    precision_onehot = action[precisions_start:
-                              precisions_start + len(_PRECISIONS)]
-    log_vf = action[-1]
-    interactions = np.array([
-        log_macs * is_local,
-        log_macs * is_cloud,
-        log_macs * is_connected,
-        log_macs * role_onehot[0],
-        log_macs * role_onehot[1],
-        log_macs * role_onehot[2],
-        log_macs * role_onehot[3],
-        log_macs * precision_onehot[0],
-        log_macs * precision_onehot[1],
-        log_macs * precision_onehot[2],
-        log_macs * log_vf,
-        weak_wlan * is_cloud,
-        weak_p2p * is_connected,
-        observation.cpu_util * is_local,
-        observation.mem_util * is_local,
-        network.num_fc * role_onehot[1],  # FC layers on a co-processor
-    ], dtype=float)
-    return np.concatenate([context, action, interactions])
-
-
 #: Per-(device, target-list) action-encoding matrices.  Action encodings
 #: depend only on the target and the device's V/F tables, so every
 #: observation of a sweep reuses the same rows; the key is cheap (string
@@ -169,14 +124,17 @@ def encode_actions(targets, environment=None):
 
 
 def encode_pairs(network, observation, targets, environment=None):
-    """Vectorized :func:`encode_pair` over many targets at once.
+    """Full feature vectors for (context, action) regression, one row
+    per target.
 
-    Returns the ``(len(targets), PAIR_DIM)`` matrix whose rows are
-    bitwise-identical to per-target ``encode_pair`` calls: the context
-    block is shared, the action block comes from the memoized
-    :func:`encode_actions` matrix, and every interaction term is a
-    scalar-times-column product — the same float operations as the
-    scalar encoder, just batched.
+    Returns a ``(len(targets), PAIR_DIM)`` matrix: the shared context
+    block, the memoized :func:`encode_actions` block, and the
+    interaction terms that make log-energy/log-latency roughly linear
+    in the features — workload size crossed with the executing engine,
+    link weakness crossed with the offload path, and co-runner load
+    crossed with local execution.  Every interaction is a
+    scalar-times-column product, so a row is bitwise what a one-target
+    scalar walk computes.
     """
     actions = encode_actions(targets, environment)
     context = encode_context(network, observation)
@@ -287,11 +245,12 @@ def collect_dataset(environment, use_cases, samples_per_case=40, rng=None):
     for use_case in use_cases:
         for _ in range(samples_per_case):
             observation = environment.observe()
-            target = targets[int(rng.integers(len(targets)))]
+            index = int(rng.integers(len(targets)))
+            target = targets[index]
             result = environment.execute(use_case.network, target,
                                          observation)
-            rows.append(encode_pair(use_case.network, observation, target,
-                                    environment))
+            rows.append(encode_pairs(use_case.network, observation, targets,
+                                     environment)[index])
             contexts.append(encode_context(use_case.network, observation))
             energies.append(result.energy_mj)
             latencies.append(result.latency_ms)

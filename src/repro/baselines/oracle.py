@@ -29,8 +29,7 @@ class OptOracle(Scheduler):
 
     name = "opt"
 
-    def __init__(self, cache=True):
-        self._cache_enabled = cache
+    def __init__(self):
         self._cache = {}
 
     def _cache_key(self, use_case, state_key):
@@ -39,17 +38,17 @@ class OptOracle(Scheduler):
     def select(self, environment, use_case, observation, state_key=None):
         """The oracle target for this observation.
 
-        ``state_key`` optionally memoizes the search per discretized
-        state (the paper's Opt is defined per state, not per raw
-        observation); pass e.g. a Table-I state index.
+        ``state_key`` memoizes the search per discretized state (the
+        paper's Opt is defined per state, not per raw observation); pass
+        e.g. a Table-I state index.  Without one nothing is cached.
         """
-        if self._cache_enabled and state_key is not None:
-            cached = self._cache.get(self._cache_key(use_case, state_key))
-            if cached is not None:
-                return cached
-        best = self._search(environment, use_case, observation)
-        if self._cache_enabled and state_key is not None:
-            self._cache[self._cache_key(use_case, state_key)] = best
+        if state_key is None:
+            return self._search(environment, use_case, observation)
+        key = self._cache_key(use_case, state_key)
+        best = self._cache.get(key)
+        if best is None:
+            best = self._cache[key] = self._search(environment, use_case,
+                                                   observation)
         return best
 
     def _search(self, environment, use_case, observation):

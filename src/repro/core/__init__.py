@@ -1,6 +1,5 @@
 """AutoScale core: state/action/reward, Q-learning, engine, transfer."""
 
-from repro.core.action import ActionSpace
 from repro.core.alternatives import (LinearQFunction, MlpQNetwork,
                                      SarsaTable)
 from repro.core.convergence import ConvergenceDetector, episodes_to_converge
@@ -14,7 +13,6 @@ from repro.core.state import StateFeature, StateSpace, table_i_state_space
 from repro.core.transfer import map_actions, transfer_q_table
 
 __all__ = [
-    "ActionSpace",
     "LinearQFunction",
     "MlpQNetwork",
     "SarsaTable",

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common import ConfigError, make_rng
-from repro.core.action import ActionSpace
 from repro.core.convergence import ConvergenceDetector
 from repro.core.qlearning import QLearningConfig, QTable
 from repro.core.reward import RewardConfig, compute_reward
@@ -191,7 +190,7 @@ class AutoScale:
     Args:
         environment: an :class:`~repro.env.EdgeCloudEnvironment`.
         state_space: defaults to the Table-I space (3,072 states).
-        action_space: defaults to the environment's full augmented space.
+        action_space: defaults to the environment's ``action_space``.
         config: Q-learning hyperparameters (paper defaults).
         reward: reward weights/normalization.
         seed: RNG seed for exploration and Q-table initialization.
@@ -201,8 +200,7 @@ class AutoScale:
                  config=None, reward=None, seed=None):
         self.environment = environment
         self.state_space = state_space or table_i_state_space()
-        self.action_space = action_space or \
-            ActionSpace.from_environment(environment)
+        self.action_space = action_space or environment.action_space
         self.config = config or QLearningConfig()
         self.reward_config = reward or RewardConfig()
         self.rng = make_rng(seed)

@@ -36,6 +36,7 @@ from repro.core.persistence import (
     save_guard,
 )
 from repro.core.tracing import TraceRecorder, load_trace
+from repro.env.target import combine_masks
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.resilience import ResiliencePolicy
 from repro.guard import GuardConfig, PolicyGuard
@@ -147,8 +148,8 @@ class AutoScaleService:
         while attempts <= policy.max_retries:
             step = self.engine.step(
                 use_case,
-                allowed_actions=self._combine_masks(self._allowed_actions(),
-                                                    extra_allowed),
+                allowed_actions=combine_masks(self.action_mask(),
+                                              extra_allowed),
                 deadline_ms=deadline_ms,
             )
             attempts += 1
@@ -202,26 +203,34 @@ class AutoScaleService:
         self.environment.advance_clock(delay_ms)
 
     def _degrade(self, use_case):
-        """Execute the best accuracy-feasible local target directly."""
+        """Execute the best accuracy-feasible local target directly.
+
+        The pick ranges over the environment's action space, not the
+        engine's: a remote-only engine still degrades to the phone.
+        """
         env = self.environment
-        targets = env.targets()
-        local_indices = [index for index, target in enumerate(targets)
-                         if not target.is_remote]
-        if not local_indices:
+        local_indices = np.flatnonzero(env.action_space.local)
+        if not local_indices.size:
             return None
         observation = self.engine.observe()
         sweep = env.estimate_all(use_case.network, observation)
         best = sweep.argbest(use_case, indices=local_indices)
         if best is None:
             return None
-        return env.execute(use_case.network, targets[best], observation)
+        return env.execute(use_case.network, env.action_space.target(best),
+                           observation)
 
     # ------------------------------------------------------------------
     # Circuit breakers
     # ------------------------------------------------------------------
 
-    def _allowed_actions(self):
-        """Boolean action mask from the breakers, or ``None`` (= all)."""
+    def action_mask(self):
+        """The breakers' boolean mask over the engine's action space
+        (``None`` = all).
+
+        Public so the serving pipeline can intersect it with its own
+        brownout mask before selection.
+        """
         if not self._breakers:
             return None
         now_ms = self.environment.clock.now_ms
@@ -229,29 +238,9 @@ class AutoScaleService:
                     for key, breaker in self._breakers.items()}
         if all(verdicts.values()):
             return None
-        space = self.engine.action_space
-        allowed = np.ones(len(space), dtype=bool)
-        for index in range(len(space)):
-            if not verdicts.get(space.target(index).key, True):
-                allowed[index] = False
-        return allowed
-
-    def action_mask(self):
-        """The current breaker-derived action mask (``None`` = all).
-
-        Public so the serving pipeline can intersect it with its own
-        brownout mask before selection.
-        """
-        return self._allowed_actions()
-
-    @staticmethod
-    def _combine_masks(first, second):
-        """Intersect two optional boolean masks (``None`` = everything)."""
-        if first is None:
-            return second
-        if second is None:
-            return first
-        return first & second
+        return np.array([verdicts.get(key, True)
+                         for key in self.engine.action_space.keys],
+                        dtype=bool)
 
     def _note_outcome(self, step):
         """Feed one attempt's outcome to its target's breaker."""

@@ -25,7 +25,13 @@ from repro.env.scenarios import (
     Scenario,
     build_scenario,
 )
-from repro.env.target import ExecutionTarget, Location, enumerate_targets
+from repro.env.target import (
+    ActionSpace,
+    ExecutionTarget,
+    Location,
+    combine_masks,
+    enumerate_targets,
+)
 from repro.env.workload import (
     InferenceRequest,
     MixedWorkload,
@@ -58,8 +64,10 @@ __all__ = [
     "STATIC_SCENARIOS",
     "Scenario",
     "build_scenario",
+    "ActionSpace",
     "ExecutionTarget",
     "Location",
+    "combine_masks",
     "enumerate_targets",
     "InferenceRequest",
     "MixedWorkload",

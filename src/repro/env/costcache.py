@@ -228,17 +228,17 @@ class NominalCostEngine:
         self._exact_links: "OrderedDict" = OrderedDict()
         self._layer_terms: Dict[Tuple, np.ndarray] = {}
         self._per_target: Dict[str, list] = {}
-        self._targets = tuple(environment.targets())
+        space = environment.action_space
+        self._targets = space.targets
         device = environment.device
         count = len(self._targets)
         kinds = []
         groups: Dict[Tuple, tuple] = {}
         target_busy_mw = np.zeros(count)
         idle_overhead_power_mw = np.zeros(count)
-        local_indices, cloud_indices, connected_indices = [], [], []
+        cloud_indices, connected_indices = [], []
         for index, target in enumerate(self._targets):
             if target.location is Location.LOCAL:
-                local_indices.append(index)
                 proc = device.soc.processor(target.role)
                 if proc.kind not in kinds:
                     kinds.append(proc.kind)
@@ -268,7 +268,7 @@ class NominalCostEngine:
         self._busy_power_mw_by_target = target_busy_mw
         self._idle_overhead_power_mw = idle_overhead_power_mw
         self._platform_power_mw = device.soc.platform_idle_mw
-        self._local_indices = np.array(local_indices, dtype=int)
+        self._local_indices = np.flatnonzero(space.local)
         self._cloud_indices = np.array(cloud_indices, dtype=int)
         self._connected_indices = np.array(connected_indices, dtype=int)
         self.invalidate(network_tables=True)

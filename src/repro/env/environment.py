@@ -34,7 +34,7 @@ from repro.env.executor import (
 )
 from repro.env.observation import Observation
 from repro.env.scenarios import build_scenario
-from repro.env.target import Location, enumerate_targets
+from repro.env.target import ActionSpace, Location, enumerate_targets
 from repro.hardware.devices import cloud_server, galaxy_tab_s6
 from repro.interference.corunner import ConstantCoRunner
 from repro.interference.model import InterferenceModel
@@ -55,6 +55,10 @@ _UNIT_JITTERS = ((1.0, 1.0), (1.0,) * 5)
 
 class EdgeCloudEnvironment:
     """A phone in an edge-cloud execution environment under a scenario.
+
+    The environment's :class:`~repro.env.target.ActionSpace`, built once
+    here as ``action_space``, is the one target index space: engines,
+    sweeps and action masks all address targets by its columns.
 
     Args:
         device: the phone (a :class:`~repro.hardware.devices.Device`).
@@ -112,7 +116,8 @@ class EdgeCloudEnvironment:
         self.clock = Stopwatch()
         self.kernel = EventKernel(self.clock)
         self.faults = faults  # property setter builds the injector
-        self._targets = enumerate_targets(device, self.cloud, self.connected)
+        self.action_space = ActionSpace(
+            enumerate_targets(device, self.cloud, self.connected))
         self._cost_engine = NominalCostEngine(self)
 
     # ------------------------------------------------------------------
@@ -198,8 +203,9 @@ class EdgeCloudEnvironment:
     # ------------------------------------------------------------------
 
     def targets(self):
-        """The full execution-scaling action space for this setup."""
-        return self._targets
+        """The full execution-scaling action space's targets, in
+        ``action_space`` order."""
+        return self.action_space.targets
 
     def observe(self):
         """Sample the runtime variance at the current virtual time."""

@@ -7,6 +7,10 @@ operating point.  Section V-C enumerates the resulting action set for the
 Mi8Pro: CPU {FP32, INT8} x 23 V/F steps + GPU {FP32, FP16} x 7 V/F steps +
 DSP + cloud CPU/GPU (FP32) + connected CPU/GPU (FP32) + connected DSP
 = 66 actions, which this module reproduces exactly.
+
+An :class:`ActionSpace` indexes a stable tuple of targets so the
+Q-table, the cost model's sweeps and every action mask address actions
+by the same integer column.
 """
 
 from __future__ import annotations
@@ -15,10 +19,13 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.common import ConfigError
+import numpy as np
+
+from repro.common import ConfigError, UnknownKeyError
 from repro.models.quantization import Precision
 
-__all__ = ["Location", "ExecutionTarget", "enumerate_targets"]
+__all__ = ["Location", "ExecutionTarget", "enumerate_targets",
+           "ActionSpace", "combine_masks"]
 
 
 class Location(enum.Enum):
@@ -136,3 +143,86 @@ def enumerate_targets(device, cloud=None, connected=None,
                 if proc.supports(precision):
                     targets.append(ExecutionTarget(location, role, precision))
     return tuple(targets)
+
+
+def _column(flags):
+    column = np.fromiter(flags, dtype=bool)
+    column.flags.writeable = False
+    return column
+
+
+class ActionSpace:
+    """An indexed, immutable set of execution targets.
+
+    ``keys`` holds the targets' keys in index order.  Besides the
+    targets, a space holds one read-only boolean column per
+    target class, index-aligned with ``targets``: ``local`` (runs on the
+    phone), ``int8`` and ``reduced`` (any precision below FP32).  They
+    are built once here, and every action mask over the space is read
+    from them.
+    """
+
+    def __init__(self, targets):
+        self.targets = tuple(targets)
+        if not self.targets:
+            raise ConfigError("action space cannot be empty")
+        self.keys = tuple(target.key for target in self.targets)
+        self._index = {key: i for i, key in enumerate(self.keys)}
+        if len(self._index) != len(self.targets):
+            raise ConfigError("duplicate targets in action space")
+        self.local = _column(not target.is_remote
+                             for target in self.targets)
+        self.int8 = _column(target.precision is Precision.INT8
+                            for target in self.targets)
+        self.reduced = _column(target.precision is not Precision.FP32
+                               for target in self.targets)
+
+    @classmethod
+    def from_environment(cls, environment, with_dvfs=True,
+                         with_quantization=True):
+        """The action space of an :class:`EdgeCloudEnvironment`.
+
+        With both augmentations on (the paper's configuration, where
+        the Mi8Pro yields the paper's 66 actions) this is the
+        environment's own ``action_space``; switching one off builds a
+        smaller space.
+        """
+        if with_dvfs and with_quantization:
+            return environment.action_space
+        return cls(enumerate_targets(
+            environment.device, environment.cloud, environment.connected,
+            with_dvfs=with_dvfs, with_quantization=with_quantization,
+        ))
+
+    def __len__(self):
+        return len(self.targets)
+
+    def __iter__(self):
+        return iter(self.targets)
+
+    def target(self, index):
+        """The :class:`ExecutionTarget` at an action index."""
+        return self.targets[index]
+
+    def index_of(self, target):
+        """The action index of a target (by key)."""
+        try:
+            return self._index[target.key]
+        except KeyError:
+            raise UnknownKeyError(f"{target.key} not in this action space") from None
+
+    def __contains__(self, target):
+        return getattr(target, "key", None) in self._index
+
+
+def combine_masks(first, second):
+    """Intersect two optional boolean action masks (``None`` = all).
+
+    When one side is ``None`` the other is returned as it is: no reader
+    writes to a mask, and the space's columns are read-only anyway.
+    """
+    if first is None:
+        return second
+    if second is None:
+        return first
+    return first & second

@@ -44,8 +44,7 @@ def _oracle_pick(device_name, network_name, observation=None,
                             streaming=streaming,
                             accuracy_target=accuracy_target)
     observation = observation or Observation()
-    target, nominal = OptOracle(cache=False).evaluate(env, use_case,
-                                                      observation)
+    target, nominal = OptOracle().evaluate(env, use_case, observation)
     return target, nominal
 
 

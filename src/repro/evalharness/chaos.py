@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from repro.common import ConfigError
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import UseCase
@@ -74,10 +76,9 @@ def _build_use_case(network_name, qos_ms):
 def _static_target(env, use_case, remote):
     """The nominally best (remote or local) target at episode start."""
     observation = env.observe()
-    targets = env.targets()
-    indices = [index for index, target in enumerate(targets)
-               if target.is_remote == remote]
-    if not indices:
+    space = env.action_space
+    indices = np.flatnonzero(~space.local if remote else space.local)
+    if not indices.size:
         raise ConfigError(
             f"no {'remote' if remote else 'local'} targets to serve from"
         )
@@ -85,7 +86,7 @@ def _static_target(env, use_case, remote):
         .argbest(use_case, indices=indices)
     if best is None:
         raise ConfigError("no accuracy-feasible static target")
-    return targets[best]
+    return space.target(best)
 
 
 def _serve_static(env, use_case, remote, num_requests):

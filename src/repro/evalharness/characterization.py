@@ -349,7 +349,7 @@ def fig7_predictors(device_name="mi8pro",
     # the training campaign (S5, D3): a fielded predictor faces contexts
     # it never profiled, which is where memorization-style classifiers
     # lose their apparent accuracy (Section III-C's argument).
-    oracle = OptOracle(cache=False)
+    oracle = OptOracle()
     misclass = {}
     for scheduler in (svm, knn):
         chosen_labels, optimal_labels = [], []

@@ -139,9 +139,8 @@ def _run_suite(device_name, network_names, scenarios, config,
                                    scenario=scenarios[0], seed=seed)
     for test_case in use_cases:
         _, per_scenario = loo_train_and_evaluate(
-            None, use_cases, test_case,
+            loo_env, use_cases, test_case,
             scenarios=scenarios, config=config, seed=seed,
-            environment=loo_env,
         )
         episodes.extend(per_scenario.values())
     stats_by_sched["autoscale"] = episodes
@@ -259,9 +258,9 @@ def fig12_accuracy_targets(device_name="mi8pro",
             base_stats = evaluate_scheduler(env, baseline, test_case,
                                             config.eval_runs, scenarios[0])
             _, per_scenario = loo_train_and_evaluate(
-                None, use_cases, test_case,
+                loo_env, use_cases, test_case,
                 scenarios=scenarios, config=config, seed=seed,
-                oracle=False, environment=loo_env,
+                oracle=False,
             )
             for stats in per_scenario.values():
                 ratios.append(base_stats.mean_energy_mj
@@ -299,9 +298,8 @@ def fig13_decisions(device_names=("mi8pro", "galaxy_s10e", "moto_x_force"),
                                        scenario=scenarios[0], seed=seed)
         for test_case in use_cases:
             _, per_scenario = loo_train_and_evaluate(
-                None, use_cases, test_case,
+                loo_env, use_cases, test_case,
                 scenarios=scenarios, config=config, seed=seed,
-                environment=loo_env,
             )
             for stats in per_scenario.values():
                 matches += stats.oracle_matches

@@ -89,7 +89,7 @@ def design_space_analysis(device_name="mi8pro",
     frontier = pareto_frontier(points)
     frontier_keys = {p.target_key for p in frontier}
 
-    oracle_target, oracle_nominal = OptOracle(cache=False).evaluate(
+    oracle_target, oracle_nominal = OptOracle().evaluate(
         env, use_case, observation
     )
     feasible_frontier = [p for p in frontier

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.baselines.oracle import OptOracle
 from repro.common import make_rng
-from repro.core.action import ActionSpace
 from repro.core.alternatives import (
     LinearQFunction,
     MlpQNetwork,
@@ -43,7 +42,7 @@ def _train_and_evaluate(learner_name, make_learner, environment,
                         use_cases, train_runs, eval_runs, seed):
     """One learner's full protocol; returns the summary row."""
     space = table_i_state_space()
-    actions = ActionSpace.from_environment(environment)
+    actions = environment.action_space
     config = QLearningConfig()
     reward_config = RewardConfig()
     learner = make_learner(space, len(actions), config, seed)

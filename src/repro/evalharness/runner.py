@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.baselines.oracle import OptOracle
 from repro.common import ConfigError
 from repro.core.engine import AutoScale
-from repro.env.environment import EdgeCloudEnvironment
 from repro.env.scenarios import build_scenario
 from repro.evalharness.metrics import EpisodeStats, decision_match
 
@@ -148,45 +147,38 @@ def evaluate_scheduler(environment, scheduler, use_case, eval_runs=30,
     return stats
 
 
-def loo_train_and_evaluate(device_builder, use_cases, test_case,
+def loo_train_and_evaluate(environment, use_cases, test_case,
                            scenarios=("S1",), config=RunConfig(),
-                           seed=0, oracle=True, engine_kwargs=None,
-                           environment=None):
+                           seed=0, oracle=True):
     """The paper's leave-one-out protocol for one held-out use case.
 
     Trains a fresh engine on every use case *except* ``test_case`` across
     ``scenarios``, then — per scenario — adapts online on the held-out
     case until convergence and evaluates the frozen table.
 
-    Pass ``environment`` to reuse one environment across folds: the
-    environment is re-armed for the fold (scenario reset, clock rewind,
-    fresh RNG stream from ``seed``) but its exact nominal-component
-    caches are value-keyed and deterministic, so they survive — every
-    fold after the first trains against a warm cache and produces the
-    same results a cold environment would.  ``device_builder`` is
-    ignored when an environment is supplied.
+    ``environment`` is re-armed for the fold (scenario reset, clock
+    rewind, fresh RNG stream from ``seed``), so one environment can
+    serve every fold: its exact nominal-component caches are
+    value-keyed and deterministic, so they survive — every fold after
+    the first trains against a warm cache and produces the same results
+    a newly built environment would.
 
     Returns ``(engine, {scenario_name: EpisodeStats})``.
     """
     training_cases = [case for case in use_cases
                       if case.name != test_case.name]
-    if environment is None:
-        env = EdgeCloudEnvironment(device_builder(), scenario=scenarios[0],
-                                   seed=seed)
-    else:
-        env = environment
-        env.scenario = scenarios[0]
-        env.reset(seed=seed)
-    engine = AutoScale(env, seed=seed, **(engine_kwargs or {}))
+    environment.scenario = scenarios[0]
+    environment.reset(seed=seed)
+    engine = AutoScale(environment, seed=seed)
     train_autoscale(engine, training_cases, scenarios, config.train_runs)
     opt = OptOracle() if oracle else None
     results = {}
     for scenario_name in scenarios:
-        env.scenario = build_scenario(scenario_name)
-        env.rewind_clock()
+        environment.scenario = build_scenario(scenario_name)
+        environment.rewind_clock()
         adapt_engine(
-            engine, test_case, config.adapt_budget(env.scenario),
-            stop_on_convergence=not env.scenario.dynamic,
+            engine, test_case, config.adapt_budget(environment.scenario),
+            stop_on_convergence=not environment.scenario.dynamic,
         )
         results[scenario_name] = evaluate_autoscale(
             engine, test_case, config.eval_runs, oracle=opt,

@@ -41,7 +41,7 @@ def signal_strength_sweep(network_name="resnet_50", device_name="mi8pro",
         rssi_grid_dbm = np.arange(-55.0, -95.0, -2.5)
     env = _quiet_env(device_name, seed)
     use_case = use_case_for(build_network(network_name))
-    oracle = OptOracle(cache=False)
+    oracle = OptOracle()
     rows = []
     for rssi_dbm in rssi_grid_dbm:
         observation = Observation(rssi_wlan_dbm=float(rssi_dbm))
@@ -76,7 +76,7 @@ def interference_sweep(network_name="mobilenet_v3", device_name="mi8pro",
         cpu_grid = np.linspace(0.0, 1.0, 11)
     env = _quiet_env(device_name, seed)
     use_case = use_case_for(build_network(network_name))
-    oracle = OptOracle(cache=False)
+    oracle = OptOracle()
     rows = []
     for cpu_util in cpu_grid:
         observation = Observation(cpu_util=float(cpu_util), mem_util=0.1)
@@ -100,7 +100,7 @@ def qos_sweep(network_name="inception_v1", device_name="mi8pro",
     """How the optimum (and its DVFS point) relaxes with the deadline."""
     env = _quiet_env(device_name, seed)
     network = build_network(network_name)
-    oracle = OptOracle(cache=False)
+    oracle = OptOracle()
     observation = Observation()
     rows = []
     for qos_ms in qos_grid:
@@ -175,9 +175,8 @@ def radio_comparison(network_name="inception_v1", device_name="mi8pro",
                                    scenario="S1", wifi=link, seed=seed)
         sweep = env.estimate_all(use_case.network, observation)
         cloud_index = sweep.index_of(cloud)
-        local_indices = [index for index, target in enumerate(env.targets())
-                         if target.location is Location.LOCAL]
-        best_local_mj = float(np.min(sweep.energy_mj[local_indices]))
+        best_local_mj = float(np.min(
+            sweep.energy_mj[env.action_space.local]))
         rows.append({
             "radio": label,
             "cloud_latency_ms": float(sweep.latency_ms[cloud_index]),

@@ -4,8 +4,9 @@ When the backlog grows faster than the engine can drain it, the service
 has two bad options — blow every deadline, or shed most of the traffic.
 Brownout adds a third: serve *cheaper*.  The controller watches queue
 depth and steps through explicit degradation tiers, each expressed as an
-action mask over the engine's action space (the same ``allowed_actions``
-machinery the circuit breakers use):
+action mask over the environment's action space, read from its
+``int8``, ``reduced`` and ``local`` columns (and intersected with the
+circuit breakers' mask):
 
 - :attr:`~BrownoutTier.NORMAL` — no mask; the engine picks freely;
 - :attr:`~BrownoutTier.REDUCED_PRECISION` — only the lowest
@@ -28,10 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common import ConfigError
-from repro.models.quantization import Precision
 
 __all__ = ["BrownoutTier", "BrownoutConfig", "BrownoutController"]
 
@@ -103,10 +101,6 @@ class BrownoutController:
         self.escalations = 0
         self.deescalations = 0
         self._calm_streak = 0
-        # Per-action-space precision/locality vectors, built once: the
-        # action space is frozen for the engine's lifetime, so the drain
-        # loop must not rebuild three list comprehensions per call.
-        self._mask_cache = {}
 
     def observe_pressure(self, depth):
         """Feed one queue-depth observation; returns the current tier.
@@ -139,49 +133,21 @@ class BrownoutController:
     def mask(self, action_space):
         """The current tier's boolean action mask (``None`` = no mask).
 
-        A tier whose mask would allow nothing falls back to the next
-        weaker constraint (any reduced precision instead of INT8, plain
-        local-only, then no mask at all) — brownout must never leave
-        the engine with an empty action set.
+        Read from the :class:`~repro.env.target.ActionSpace`'s class
+        columns.  A tier whose mask would allow nothing falls back to
+        the next weaker constraint (any reduced precision instead of
+        INT8, plain local-only, then no mask at all) — brownout must
+        never leave the engine with an empty action set.
         """
         if self.tier is BrownoutTier.NORMAL:
             return None
-        int8, reduced, local = self._vectors(action_space)
+        int8, reduced = action_space.int8, action_space.reduced
         if self.tier is BrownoutTier.REDUCED_PRECISION:
             if int8.any():
                 return int8
             return reduced if reduced.any() else None
+        local = action_space.local
         for cut in (local & int8, local & reduced, local):
             if cut.any():
                 return cut
         return None
-
-    def _vectors(self, action_space):
-        """The cached (int8, reduced, local) boolean vectors for a space.
-
-        Keyed by object identity; the cache entry keeps the space alive,
-        so a recycled ``id`` cannot alias a dead key.
-        """
-        key = id(action_space)
-        entry = self._mask_cache.get(key)
-        if entry is not None:
-            return entry[1]
-        int8 = np.array(
-            [target.precision is Precision.INT8
-             for target in action_space],
-            dtype=bool,
-        )
-        reduced = np.array(
-            [target.precision is not Precision.FP32
-             for target in action_space],
-            dtype=bool,
-        )
-        local = np.array(
-            [not target.is_remote for target in action_space],
-            dtype=bool,
-        )
-        vectors = (int8, reduced, local)
-        if len(self._mask_cache) >= 8:  # bound growth across spaces
-            self._mask_cache.clear()
-        self._mask_cache[key] = (action_space, vectors)
-        return vectors

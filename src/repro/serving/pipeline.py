@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.analysis.contracts import ensure_duration_ms
 from repro.common import ConfigError
+from repro.env.target import combine_masks
 from repro.guard import GuardConfig, GuardStage, PolicyGuard
 from repro.serving.arrivals import Arrival
 from repro.serving.brownout import (
@@ -159,6 +160,16 @@ class ServingPipeline:
     """Drives one service through an open-loop arrival stream."""
 
     def __init__(self, service, config=None):
+        # Every mask, sweep and pick below indexes the environment's
+        # action space with the engine's action indices.
+        if (service.engine.action_space.keys
+                != service.environment.action_space.keys):
+            raise ConfigError(
+                "the serving pipeline needs an engine over its "
+                "environment's action space; this engine's space has "
+                f"{len(service.engine.action_space)} of the environment's "
+                f"{len(service.environment.action_space)} targets"
+            )
         self.service = service
         self.config = config if config is not None else ServingConfig()
         self.queue = AdmissionQueue(self.config.queue_capacity)
@@ -407,7 +418,8 @@ class ServingPipeline:
         engine = service.engine
         tier = self.brownout.observe_pressure(self.queue.depth)
         batch = self.queue.take_batch(self.config.batch_max)
-        mask = self._combined_mask()
+        mask = combine_masks(service.action_mask(),
+                             self.brownout.mask(env.action_space))
         browned = self.brownout.tier is not BrownoutTier.NORMAL
         observation = engine.observe()
         floors, memo = self._memos(observation, mask)
@@ -543,12 +555,9 @@ class ServingPipeline:
                    if mask is not None and np.any(mask)
                    else np.ones(len(energies), dtype=bool))
         if local_only:
-            local = np.array(
-                [not target.is_remote for target in env.targets()],
-                dtype=bool,
-            )
-            if np.any(allowed & local):
-                allowed = allowed & local
+            local = allowed & env.action_space.local
+            if local.any():
+                allowed = local
         indices = [int(i) for i in np.flatnonzero(allowed)]
         best = sweep.argbest(use_case, indices=indices)
         if best is None:
@@ -601,33 +610,19 @@ class ServingPipeline:
         once the rolling window starts evicting.
         """
         service = self.service
-        extra_allowed = self.brownout.mask(service.engine.action_space)
-        if self.guard.enabled and self.guard.stage is GuardStage.DEGRADE:
+        space = service.environment.action_space
+        extra_allowed = self.brownout.mask(space)
+        if (self.guard.enabled and self.guard.stage is GuardStage.DEGRADE
+                and space.local.any()):
             # DEGRADE on the resilient path: keep the retry/breaker
             # machinery but fence selection to local targets, which the
             # fault plan cannot touch.
-            env = service.environment
-            local = np.array(
-                [not target.is_remote for target in env.targets()],
-                dtype=bool,
-            )
-            if np.any(local):
-                extra_allowed = (local if extra_allowed is None
-                                 else extra_allowed & local)
+            extra_allowed = combine_masks(extra_allowed, space.local)
         return service._handle_resilient(
             use_case, extra_allowed=extra_allowed,
             queue_delay_ms=wait_ms, tier=tier.value,
             reason=self._trace_reason(),
         )
-
-    def _combined_mask(self):
-        """Breaker mask AND brownout mask (``None`` = everything)."""
-        service = self.service
-        breakers = service.action_mask()
-        brownout = self.brownout.mask(service.engine.action_space)
-        if breakers is None:
-            return None if brownout is None else brownout.copy()
-        return breakers.copy() if brownout is None else breakers & brownout
 
     # ------------------------------------------------------------------
     # Introspection

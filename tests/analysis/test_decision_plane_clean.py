@@ -1,7 +1,8 @@
 """CI gate: the serving decision plane holds a zero-allowlist bar.
 
 The serving package and the core modules the serving drain runs
-through (engine, Q-table, environment) are linted here with the
+through (engine, service, Q-table, environment, action space) are
+linted here with the
 allowlist and flow baseline *disabled*: a new finding in any of them
 fails immediately instead of ratcheting into the grandfathered debt.
 The two modules with committed debt are pinned to exactly that debt —
@@ -20,13 +21,15 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
 SERVING = SRC / "serving"
 ENGINE = SRC / "core" / "engine.py"
+SERVICE = SRC / "core" / "service.py"
 QLEARNING = SRC / "core" / "qlearning.py"
 ENVIRONMENT = SRC / "env" / "environment.py"
+TARGET = SRC / "env" / "target.py"
 
 
 class TestReprolintZeroAllowlist:
     def test_serving_and_core_hot_path_are_spotless(self):
-        report = lint_paths([SERVING, ENGINE, ENVIRONMENT],
+        report = lint_paths([SERVING, ENGINE, SERVICE, ENVIRONMENT, TARGET],
                             allowlist=False)
         assert not report.violations, "\n" + report.format()
 

@@ -11,14 +11,18 @@ from repro.baselines.features import (
     collect_dataset,
     encode_action,
     encode_context,
-    encode_pair,
+    encode_pairs,
     vf_fraction_for,
 )
 from repro.common import ConfigError, make_rng
+from repro.env.environment import EdgeCloudEnvironment
 from repro.env.observation import Observation
 from repro.env.qos import use_case_for
+from repro.env.scenarios import SCENARIO_NAMES
 from repro.env.target import ExecutionTarget, Location
+from repro.hardware.devices import build_device
 from repro.models.quantization import Precision
+from tests.baselines.pair_walk import encode_pair
 
 
 class TestEncodeContext:
@@ -85,16 +89,41 @@ class TestVfFraction:
 class TestEncodePair:
     def test_dimension(self, env, zoo):
         target = env.targets()[0]
-        vec = encode_pair(zoo["mobilenet_v3"], Observation(), target, env)
+        vec = encode_pairs(zoo["mobilenet_v3"], Observation(), (target,),
+                           env)[0]
         assert vec.shape == (PAIR_DIM,)
 
     def test_interactions_zero_for_other_locations(self, env, zoo):
         cloud = ExecutionTarget(Location.CLOUD, "gpu", Precision.FP32)
-        vec = encode_pair(zoo["mobilenet_v3"], Observation(), cloud, env)
+        vec = encode_pairs(zoo["mobilenet_v3"], Observation(), (cloud,),
+                           env)[0]
         # log_macs * is_local must be zero for a cloud action.
         assert vec[CONTEXT_DIM + ACTION_DIM] == 0.0
         # log_macs * is_cloud must be positive.
         assert vec[CONTEXT_DIM + ACTION_DIM + 1] > 0.0
+
+
+class TestEncodePairsMatchesScalarWalk:
+    @pytest.mark.parametrize("device_name", ["mi8pro", "mi8pro_npu"])
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    def test_rows_equal_the_scalar_walk(self, zoo, device_name, scenario):
+        """Every target's batched row is the one-target scalar walk's,
+        at observations drawn from each Table-IV scenario."""
+        env = EdgeCloudEnvironment(build_device(device_name),
+                                   scenario=scenario, seed=7)
+        targets = env.targets()
+        for name in ("mobilenet_v3", "resnet_50", "mobilebert"):
+            network = zoo[name]
+            for _ in range(2):
+                observation = env.observe()
+                expected = np.array([
+                    encode_pair(network, observation, target, env)
+                    for target in targets
+                ])
+                assert np.array_equal(
+                    encode_pairs(network, observation, targets, env),
+                    expected)
+                env.advance_clock(5_000.0)
 
 
 class TestStandardizer:

@@ -10,7 +10,7 @@ from repro.hardware.devices import build_device
 class TestOracleOptimality:
     def test_oracle_never_worse_than_any_feasible_target(
             self, env, mobilenet_case):
-        oracle = OptOracle(cache=False)
+        oracle = OptOracle()
         obs = env.observe()
         target, nominal = oracle.evaluate(env, mobilenet_case, obs)
         assert nominal.latency_ms <= mobilenet_case.qos_ms
@@ -21,7 +21,7 @@ class TestOracleOptimality:
                 assert nominal.energy_mj <= other_nominal.energy_mj + 1e-9
 
     def test_oracle_beats_static_baselines(self, env, resnet_case):
-        oracle = OptOracle(cache=False)
+        oracle = OptOracle()
         obs = env.observe()
         _, nominal = oracle.evaluate(env, resnet_case, obs)
         for baseline in (EdgeCpuFp32(), EdgeBest()):
@@ -33,7 +33,7 @@ class TestOracleOptimality:
 
     def test_respects_accuracy_target(self, env, zoo):
         case = use_case_for(zoo["mobilenet_v3"], accuracy_target=65.0)
-        oracle = OptOracle(cache=False)
+        oracle = OptOracle()
         target = oracle.select(env, case, env.observe())
         assert env.accuracy.lookup("mobilenet_v3",
                                    target.precision) >= 65.0
@@ -44,7 +44,7 @@ class TestOracleOptimality:
         env = EdgeCloudEnvironment(build_device("moto_x_force"),
                                    scenario="S4", seed=0)
         case = use_case_for(zoo["inception_v3"])
-        oracle = OptOracle(cache=False)
+        oracle = OptOracle()
         obs = env.observe()
         target, nominal = oracle.evaluate(env, case, obs)
         assert nominal.latency_ms > case.qos_ms  # genuinely infeasible
@@ -55,14 +55,14 @@ class TestOracleOptimality:
 
 class TestOracleCache:
     def test_cache_hit_by_state_key(self, env, mobilenet_case):
-        oracle = OptOracle(cache=True)
+        oracle = OptOracle()
         obs = env.observe()
         first = oracle.select(env, mobilenet_case, obs, state_key=42)
         second = oracle.select(env, mobilenet_case, obs, state_key=42)
         assert first is second
 
     def test_no_state_key_no_cache(self, env, mobilenet_case):
-        oracle = OptOracle(cache=True)
+        oracle = OptOracle()
         obs = env.observe()
         oracle.select(env, mobilenet_case, obs)
         assert not oracle._cache

@@ -306,14 +306,15 @@ class TestLooEnvironmentReuse:
         shared_env = EdgeCloudEnvironment(build_device("mi8pro"),
                                           scenario="S1", seed=0)
         for test_case in use_cases[:2]:
+            fresh_env = EdgeCloudEnvironment(build_device("mi8pro"),
+                                             scenario="S1", seed=0)
             _, fresh = loo_train_and_evaluate(
-                lambda: build_device("mi8pro"), use_cases, test_case,
+                fresh_env, use_cases, test_case,
                 scenarios=("S1",), config=config, seed=0,
             )
             _, reused = loo_train_and_evaluate(
-                None, use_cases, test_case,
+                shared_env, use_cases, test_case,
                 scenarios=("S1",), config=config, seed=0,
-                environment=shared_env,
             )
             for scenario_name, fresh_stats in fresh.items():
                 reused_stats = reused[scenario_name]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common import ConfigError
-from repro.core.action import ActionSpace
+from repro.env.target import ActionSpace
 from repro.core.qlearning import QTable
 from repro.core.transfer import map_actions, transfer_q_table
 from repro.env.environment import EdgeCloudEnvironment

@@ -125,7 +125,7 @@ class TestOracleEquivalence:
         use_cases = [use_case_for(zoo[name])
                      for name in ("mobilenet_v3", "resnet_50",
                                   "mobilebert")]
-        oracle = OptOracle(cache=False)
+        oracle = OptOracle()
         rng = make_rng(23)
         for use_case in use_cases:
             for _ in range(5):

@@ -77,7 +77,9 @@ class TestLeaveOneOut:
                  for n in ("mobilenet_v3", "inception_v1", "resnet_50")]
         test_case = cases[0]
         engine, results = loo_train_and_evaluate(
-            lambda: build_device("mi8pro"), cases, test_case,
+            EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+                                 seed=0),
+            cases, test_case,
             scenarios=("S1",),
             config=RunConfig(train_runs=5, adapt_runs=20, eval_runs=5),
             seed=0, oracle=False,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common import ConfigError
+from repro.env.target import ActionSpace, ExecutionTarget, Location
 from repro.models.quantization import Precision
 from repro.serving.brownout import (
     BrownoutConfig,
@@ -68,19 +69,23 @@ class TestHysteresis:
             _controller().observe_pressure(-1)
 
 
-class _FakeTarget:
-    def __init__(self, precision, is_remote):
-        self.precision = precision
-        self.is_remote = is_remote
+def _target(precision, is_remote):
+    if is_remote:
+        return ExecutionTarget(Location.CLOUD, "gpu", precision)
+    return ExecutionTarget(Location.LOCAL, "cpu", precision, vf_index=0)
 
 
-_SPACE = [
-    _FakeTarget(Precision.FP32, is_remote=True),
-    _FakeTarget(Precision.FP16, is_remote=True),
-    _FakeTarget(Precision.INT8, is_remote=True),
-    _FakeTarget(Precision.FP32, is_remote=False),
-    _FakeTarget(Precision.INT8, is_remote=False),
-]
+def _space(*targets):
+    return ActionSpace(_target(*pair) for pair in targets)
+
+
+_SPACE = _space(
+    (Precision.FP32, True),
+    (Precision.FP16, True),
+    (Precision.INT8, True),
+    (Precision.FP32, False),
+    (Precision.INT8, False),
+)
 
 
 class TestMasks:
@@ -96,8 +101,7 @@ class TestMasks:
     def test_reduced_precision_falls_back_to_non_fp32(self):
         controller = _controller()
         controller.tier = BrownoutTier.REDUCED_PRECISION
-        space = [_FakeTarget(Precision.FP32, True),
-                 _FakeTarget(Precision.FP16, False)]
+        space = _space((Precision.FP32, True), (Precision.FP16, False))
         assert list(controller.mask(space)) == [False, True]
 
     def test_local_only_masks_to_local_int8(self):
@@ -109,12 +113,11 @@ class TestMasks:
     def test_local_only_falls_back_to_plain_local(self):
         controller = _controller()
         controller.tier = BrownoutTier.LOCAL_ONLY
-        space = [_FakeTarget(Precision.FP32, True),
-                 _FakeTarget(Precision.FP32, False)]
+        space = _space((Precision.FP32, True), (Precision.FP32, False))
         assert list(controller.mask(space)) == [False, True]
 
     def test_mask_never_empties_the_action_space(self):
         controller = _controller()
         controller.tier = BrownoutTier.LOCAL_ONLY
-        remote_only = [_FakeTarget(Precision.FP32, True)]
+        remote_only = _space((Precision.FP32, True))
         assert controller.mask(remote_only) is None

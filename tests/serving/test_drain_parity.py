@@ -38,6 +38,7 @@ from repro.core.service import AutoScaleService
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import UseCase, use_case_for
 from repro.env.scenarios import build_scenario
+from repro.env.target import combine_masks
 from repro.faults.breaker import BreakerConfig, CircuitBreaker
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.resilience import ResiliencePolicy
@@ -72,7 +73,8 @@ class ScalarReferencePipeline(ServingPipeline):
         tier = self.brownout.observe_pressure(self.queue.depth)
         batch = self.queue.take_batch(self.config.batch_max)
         observation = env.observe()
-        mask = self._combined_mask()
+        mask = combine_masks(service.action_mask(),
+                             self.brownout.mask(env.action_space))
         browned = self.brownout.tier is not BrownoutTier.NORMAL
         # One selection per (network, state) group; execution, reward,
         # and Q update stay per-request via step_with_action.

@@ -42,6 +42,23 @@ class TestConfig:
         assert not fifo.brownout.enabled
         assert not ServingConfig.shed_only().brownout.enabled
 
+    def test_engine_must_use_the_environments_action_space(self):
+        from repro.common import ConfigError
+        from repro.core.engine import AutoScale
+        from repro.env.target import ActionSpace
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+                                   seed=0)
+        remote_only = ActionSpace(
+            [target for target in env.targets() if target.is_remote])
+        service = AutoScaleService(
+            env, engine=AutoScale(env, seed=0, action_space=remote_only))
+        with pytest.raises(ConfigError):
+            ServingPipeline(service, ServingConfig())
+        # An equal space built apart from the environment's is accepted.
+        equal = ActionSpace(env.targets())
+        ServingPipeline(AutoScaleService(
+            env, engine=AutoScale(env, seed=0, action_space=equal)))
+
     def test_batch_max_validated(self):
         from repro.common import ConfigError
         with pytest.raises(ConfigError):

@@ -13,7 +13,7 @@ failed-attempt energy-conservation property.
 import pytest
 
 from repro.common import ConfigError, make_rng
-from repro.core.action import ActionSpace
+from repro.env.target import ActionSpace
 from repro.core.engine import AutoScale
 from repro.core.service import AutoScaleService
 from repro.env.environment import EdgeCloudEnvironment
@@ -104,7 +104,7 @@ class TestSchedulerAdaptation:
         case = use_case_for(zoo["inception_v1"])
         from repro.baselines.oracle import OptOracle
         from repro.env.observation import Observation
-        target = OptOracle(cache=False).select(
+        target = OptOracle().select(
             env, case, Observation(rssi_wlan_dbm=-100.0)
         )
         assert target.location.value == "connected"
@@ -259,7 +259,7 @@ class TestBreakerIntegration:
 
     def test_open_breakers_mask_selection(self, zoo):
         service = self._run(zoo, seed=41)
-        allowed = service._allowed_actions()
+        allowed = service.action_mask()
         if allowed is None:
             pytest.skip("no breaker open at snapshot time")
         space = service.engine.action_space

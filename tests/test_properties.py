@@ -279,7 +279,7 @@ def test_normalized_and_raw_rewards_agree_on_ordering(energy, latency,
 # Transfer mapping
 # ---------------------------------------------------------------------------
 
-from repro.core.action import ActionSpace  # noqa: E402
+from repro.env.target import ActionSpace  # noqa: E402
 from repro.core.transfer import map_actions  # noqa: E402
 from repro.env.environment import EdgeCloudEnvironment  # noqa: E402
 from repro.hardware.devices import build_device  # noqa: E402
