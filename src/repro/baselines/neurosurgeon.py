@@ -19,6 +19,11 @@ Fidelity notes:
 - bandwidth is taken from the *current* RSSI reading (the original system
   re-evaluates per query), but the co-runner interference on the local
   partition is invisible to its predictor.
+
+The per-layer predictions do not depend on the query, so ``train()``
+turns them into per-network arrays indexed by split point (predicted
+local-prefix and remote-suffix latencies, wire bytes); ``plan()`` then
+prices every split point at the current RSSI in one numpy pass.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from repro.common import ConfigError
 from repro.env.target import ExecutionTarget, Location
 from repro.models.quantization import Precision
 
-__all__ = ["LayerLatencyModel", "NeurosurgeonScheduler"]
+__all__ = ["LayerLatencyModel", "NeurosurgeonScheduler", "best_split"]
 
 
 class LayerLatencyModel:
@@ -80,19 +85,49 @@ class LayerLatencyModel:
         return np.array([self.predict_layer(layer) for layer in layers])
 
 
+def best_split(local_prefix_ms, remote_suffix_ms, wire_bytes, link,
+               rssi_dbm, busy_mw, base_mw, qos_ms):
+    """The predicted-best split point, all points priced at once.
+
+    The three arrays are indexed by split point ``0..num_layers`` (the
+    last point runs everything locally and ships nothing).  A point's
+    predicted latency is local prefix + (transfer + RTT, unless fully
+    local) + remote suffix; its energy is CPU busy power over the prefix
+    plus radio transmit power over the transfer plus platform power over
+    the whole latency, plus the radio tail when anything is shipped.
+    Returns the first minimum-energy point among those meeting
+    ``qos_ms``, or the first minimum-energy point when none does.
+    """
+    ms_per_byte = link.transfer_ms(1.0, rssi_dbm)
+    tx_ms = wire_bytes * ms_per_byte
+    comm_ms = tx_ms + link.effective_rtt_ms(rssi_dbm)
+    comm_ms[-1] = 0.0
+    latency_ms = local_prefix_ms + comm_ms + remote_suffix_ms
+    energy_mj = (busy_mw * local_prefix_ms
+                 + link.tx_power_mw(rssi_dbm) * tx_ms
+                 + base_mw * latency_ms) / 1000.0
+    energy_mj[:-1] += link.tail_energy_mj()
+    feasible = latency_ms <= qos_ms
+    if feasible.any():
+        energy_mj[~feasible] = np.inf
+    return int(np.argmin(energy_mj))
+
+
 class NeurosurgeonScheduler(Scheduler):
     """Layer-split scheduler between the local CPU and the cloud GPU."""
 
     name = "neurosurgeon"
 
     def __init__(self):
-        self._local_models = {}
-        self._remote_models = {}
+        # network name -> (local_prefix_ms, remote_suffix_ms, wire_bytes),
+        # each indexed by split point 0..num_layers.
+        self._split_tables = {}
         self._local_target = None
         self._remote_target = None
 
     def train(self, environment, use_cases, rng=None):
-        """Fit the per-layer models on both sides of the split."""
+        """Fit the per-layer models on both sides of the split and
+        tabulate their predictions by split point for :meth:`plan`."""
         device = environment.device
         cloud = environment.cloud
         if cloud is None:
@@ -108,65 +143,36 @@ class NeurosurgeonScheduler(Scheduler):
             Location.CLOUD, remote_role, Precision.FP32
         )
         for use_case in use_cases:
-            layers = use_case.network.layers
-            self._local_models[use_case.network.name] = \
-                LayerLatencyModel().fit(cpu, layers, Precision.FP32,
-                                        rng=rng)
-            self._remote_models[use_case.network.name] = \
-                LayerLatencyModel().fit(remote_proc, layers,
-                                        Precision.FP32, rng=rng)
+            network = use_case.network
+            layers = network.layers
+            local_layer_ms = LayerLatencyModel().fit(
+                cpu, layers, Precision.FP32, rng=rng).predict_layers(layers)
+            remote_layer_ms = LayerLatencyModel().fit(
+                remote_proc, layers, Precision.FP32,
+                rng=rng).predict_layers(layers)
+            self._split_tables[network.name] = (
+                np.concatenate([[0.0], np.cumsum(local_layer_ms)]),
+                np.concatenate(
+                    [np.cumsum(remote_layer_ms[::-1])[::-1], [0.0]]),
+                np.array([network.transfer_bytes_at(point)
+                          for point in range(len(layers) + 1)],
+                         dtype=float),
+            )
 
     def plan(self, environment, use_case, observation):
         """The predicted-best split point for the current conditions."""
         name = use_case.network.name
-        if name not in self._local_models:
+        if name not in self._split_tables:
             raise ConfigError(f"{self.name} not trained for {name}")
-        network = use_case.network
-        device = environment.device
-        link = environment.wifi
-        rssi_dbm = observation.rssi_wlan_dbm
-        ms_per_byte = (
-            link.transfer_ms(1.0, rssi_dbm)
+        local_prefix_ms, remote_suffix_ms, wire_bytes = \
+            self._split_tables[name]
+        soc = environment.device.soc
+        return best_split(
+            local_prefix_ms, remote_suffix_ms, wire_bytes,
+            environment.wifi, observation.rssi_wlan_dbm,
+            soc.cpu.busy_power_at(-1), soc.platform_idle_mw,
+            use_case.qos_ms,
         )
-        rtt = link.effective_rtt_ms(rssi_dbm)
-
-        local_layer = self._local_models[name].predict_layers(network.layers)
-        remote_layer = self._remote_models[name].predict_layers(
-            network.layers
-        )
-        local_prefix = np.concatenate([[0.0], np.cumsum(local_layer)])
-        remote_suffix = np.concatenate(
-            [np.cumsum(remote_layer[::-1])[::-1], [0.0]]
-        )
-
-        cpu = device.soc.cpu
-        busy_mw = cpu.busy_power_at(-1)
-        base_mw = device.soc.platform_idle_mw
-        tx_mw = link.tx_power_mw(rssi_dbm)
-
-        best_point, best_energy_mj, best_latency_ms = None, None, None
-        num_layers = len(network.layers)
-        for point in range(num_layers + 1):
-            wire = network.transfer_bytes_at(point)
-            tx_ms = wire * ms_per_byte
-            remote_ms = remote_suffix[point]
-            comm_ms = (tx_ms + rtt) if point < num_layers else 0.0
-            latency_ms = local_prefix[point] + comm_ms + remote_ms
-            energy_mj = (
-                busy_mw * local_prefix[point]
-                + tx_mw * tx_ms
-                + base_mw * latency_ms
-            ) / 1000.0
-            if point < num_layers:
-                energy_mj += link.tail_energy_mj()
-            feasible = latency_ms <= use_case.qos_ms
-            rank = (not feasible, energy_mj)
-            if best_point is None or rank < (not (best_latency_ms
-                                                  <= use_case.qos_ms),
-                                             best_energy_mj):
-                best_point, best_energy_mj, best_latency_ms = \
-                    point, energy_mj, latency_ms
-        return best_point
 
     def select(self, environment, use_case, observation):
         """Returns the split plan (point, local target, remote target)."""

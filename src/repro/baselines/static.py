@@ -26,10 +26,11 @@ __all__ = [
 ]
 
 
-def _top_vf_targets(environment, location):
-    """The location's targets with local DVFS pinned to the top step."""
+def _top_vf_targets(space, location):
+    """The location's targets in an action space with local DVFS pinned
+    to the top step."""
     chosen = {}
-    for target in environment.targets():
+    for target in space.targets:
         if target.location is not location:
             continue
         slot = (target.role, target.precision)
@@ -63,12 +64,29 @@ def _nominal_best(environment, use_case, observation, candidates):
 
 
 class EdgeCpuFp32(Scheduler):
-    """Always the local CPU, FP32, full clock."""
+    """Always the local CPU, FP32, full clock.
+
+    The target is resolved once per action space: the last space seen
+    and its target are kept, so a run on one environment scans the
+    space once.
+    """
 
     name = "edge_cpu_fp32"
 
+    def __init__(self):
+        self._space = None
+        self._target = None
+
     def select(self, environment, use_case, observation):
-        for target in _top_vf_targets(environment, Location.LOCAL):
+        space = environment.action_space
+        if space is not self._space:
+            self._target = self._resolve(space)
+            self._space = space
+        return self._target
+
+    @staticmethod
+    def _resolve(space):
+        for target in _top_vf_targets(space, Location.LOCAL):
             if target.role == "cpu" and target.precision is Precision.FP32:
                 return target
         raise SimulationError("environment has no local CPU FP32 target")
@@ -98,8 +116,9 @@ class EdgeBest(Scheduler):
 
     def _profile(self, environment, use_case, observation):
         quiet = _quiescent_observation(observation)
-        best = _nominal_best(environment, use_case, quiet,
-                             _top_vf_targets(environment, Location.LOCAL))
+        best = _nominal_best(
+            environment, use_case, quiet,
+            _top_vf_targets(environment.action_space, Location.LOCAL))
         if best is None:
             raise SimulationError(
                 f"no accuracy-feasible local target for {use_case.name}"

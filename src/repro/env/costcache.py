@@ -22,11 +22,14 @@ vectorized numpy pass:
 The sweep, ``estimate`` and ``execute`` read one formula summed in one
 order, so a sweep equals per-target ``estimate`` calls at its
 observation bit for bit; ``tests/env/test_costcache.py`` checks it
-with ``==``.
+with ``==``.  The same term-table store (:meth:`NominalCostEngine.layer_terms`)
+serves the remote processors' whole-network times and the layer-split
+and pipelined executions' slice sums.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -41,7 +44,7 @@ from repro.env.executor import (
     remote_finisher,
 )
 from repro.env.result import ExecutionResult
-from repro.env.target import Location
+from repro.env.target import ActionSpace, Location
 from repro.hardware.processor import sum_layer_terms
 from repro.interference.corunner import ConstantCoRunner, CoRunnerLoad
 from repro.wireless.signal import ConstantSignal
@@ -95,19 +98,21 @@ class CacheStats:
 class NominalSweep:
     """Nominal-model results for every target at one observation.
 
-    The arrays are index-aligned with ``targets`` and frozen read-only —
-    a sweep may be shared by every consumer that hits the same cache
-    entry, so nobody gets to scribble on it.
+    The arrays are index-aligned with ``space`` (the environment's
+    :class:`~repro.env.target.ActionSpace`, whose key index
+    :meth:`index_of` reads) and frozen read-only — a sweep may be shared
+    by every consumer that hits the same cache entry, so nobody gets to
+    scribble on it.
     """
 
-    targets: Tuple
+    space: ActionSpace
     latency_ms: np.ndarray
     energy_mj: np.ndarray
     estimated_energy_mj: np.ndarray
     accuracy_pct: np.ndarray
 
     def __post_init__(self):
-        count = len(self.targets)
+        count = len(self.space)
         for name in ("latency_ms", "energy_mj", "estimated_energy_mj",
                      "accuracy_pct"):
             values = getattr(self, name)
@@ -121,19 +126,19 @@ class NominalSweep:
         if count and (np.any(np.asarray(self.latency_ms) <= 0)
                       or np.any(np.asarray(self.energy_mj) <= 0)):
             raise ConfigError("non-positive nominal latency/energy")
-        object.__setattr__(
-            self, "_index_by_key",
-            {target.key: index for index, target in enumerate(self.targets)},
-        )
+
+    @property
+    def targets(self):
+        return self.space.targets
 
     def __len__(self):
-        return len(self.targets)
+        return len(self.space)
 
     def index_of(self, target):
         """Index of ``target`` (or a target with the same key)."""
         try:
-            return self._index_by_key[target.key]
-        except KeyError:
+            return self.space.index_of(target)
+        except UnknownKeyError:
             raise UnknownKeyError(
                 f"target {target.key} is not in this sweep"
             ) from None
@@ -207,7 +212,10 @@ class NominalCostEngine:
     Args:
         environment: the :class:`EdgeCloudEnvironment` to mirror.  The
             engine snapshots the device/remote/link topology at
-            construction; a changed topology needs a new engine.
+            construction; a changed topology needs a new engine.  It
+            holds the environment through a weak proxy: the environment
+            owns the engine, so a dropped environment is freed at once,
+            caches included, without waiting for the cycle collector.
 
     A cache hit returns the sweep computed for the *first* observation
     that landed in the key's bin, so the quanta (``_LOAD_QUANTUM``,
@@ -217,7 +225,7 @@ class NominalCostEngine:
     """
 
     def __init__(self, environment):
-        self._environment = environment
+        self._environment = weakref.proxy(environment)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -228,7 +236,7 @@ class NominalCostEngine:
         self._exact_links: "OrderedDict" = OrderedDict()
         self._layer_terms: Dict[Tuple, np.ndarray] = {}
         self._per_target: Dict[str, list] = {}
-        space = environment.action_space
+        space = self._space = environment.action_space
         self._targets = space.targets
         device = environment.device
         count = len(self._targets)
@@ -242,8 +250,8 @@ class NominalCostEngine:
                 proc = device.soc.processor(target.role)
                 if proc.kind not in kinds:
                     kinds.append(proc.kind)
-                _, indices, vf_indices = groups.setdefault(
-                    (target.role, target.precision), (proc, [], []))
+                _, _, indices, vf_indices = groups.setdefault(
+                    (target.role, target.precision), (proc, target, [], []))
                 indices.append(index)
                 vf_indices.append(target.vf_index)
                 target_busy_mw[index] = busy_power_mw(proc, target.vf_index)
@@ -257,13 +265,13 @@ class NominalCostEngine:
                     connected_indices.append(index)
                 idle_overhead_power_mw[index] = device.soc.cpu.idle_power_mw
         self._kinds = tuple(kinds)
-        # One entry per local (role, precision): its term table's sum
-        # covers every V/F step, which ``vf_indices`` then picks from.
+        # One entry per local (role, precision), named by its first
+        # target (the term-table key): the table's sum covers every V/F
+        # step, which ``vf_indices`` then picks from.
         self._local_groups = tuple(
-            (role, precision, proc.dispatch_ms, kinds.index(proc.kind),
+            (target, proc.dispatch_ms, kinds.index(proc.kind),
              np.array(indices, dtype=int), np.array(vf_indices, dtype=int))
-            for (role, precision), (proc, indices, vf_indices)
-            in groups.items()
+            for proc, target, indices, vf_indices in groups.values()
         )
         self._busy_power_mw_by_target = target_busy_mw
         self._idle_overhead_power_mw = idle_overhead_power_mw
@@ -366,8 +374,8 @@ class NominalCostEngine:
     def _build_finisher(self, target):
         env = self._environment
         if target.location is Location.LOCAL:
-            return local_finisher(
-                env.device, env.device.soc.processor(target.role), target)
+            return local_finisher(env.device, self._processor(target),
+                                  target)
         _, link = env._remote_setup(target)
         return remote_finisher(env.device, link, target)
 
@@ -375,7 +383,7 @@ class NominalCostEngine:
         """The load- and RSSI-free inputs of one ``(network, target)``.
 
         ``(accuracy_pct, proc, terms_column)`` for a local target, where
-        ``terms_column`` is its V/F step's column of :meth:`_terms_for`;
+        ``terms_column`` is its V/F step's column of :meth:`layer_terms`;
         ``(accuracy_pct, remote_nominal_ms)`` for a remote one, whose
         processor runs at its top V/F step, unslowed.
         """
@@ -383,32 +391,48 @@ class NominalCostEngine:
         constants = self._exact_constants.get(key)
         if constants is not None:
             return constants
-        env = self._environment
-        accuracy_pct = env.accuracy.lookup(network.name, target.precision)
+        accuracy_pct = self._environment.accuracy.lookup(network.name,
+                                                         target.precision)
+        proc = self._processor(target)
+        terms = self.layer_terms(network, target)
         if target.location is Location.LOCAL:
-            proc = env.device.soc.processor(target.role)
-            terms = self._terms_for(target.role, network, target.precision)
             constants = (accuracy_pct, proc, terms[:, target.vf_index])
         else:
-            remote, _ = env._remote_setup(target)
-            constants = (accuracy_pct,
-                         remote.soc.processor(target.role).layers_latency_ms(
-                             network.layers, target.precision))
+            constants = (accuracy_pct, float(sum_layer_terms(
+                terms[:, -1], 1.0, proc.dispatch_ms)))
         self._exact_constants[key] = constants
         return constants
 
-    def _terms_for(self, role, network, precision):
-        """The local ``role``'s ``Processor.layer_terms`` table, cached.
+    def _processor(self, target):
+        """The processor ``target`` runs on: the device's, or the remote
+        system's behind its location."""
+        env = self._environment
+        if target.location is Location.LOCAL:
+            return env.device.soc.processor(target.role)
+        remote, _ = env._remote_setup(target)
+        return remote.soc.processor(target.role)
 
-        ``terms[layer, vf]`` for ``network`` at ``precision``; one table
-        serves every V/F step of the pair, in ``execute`` and the sweep.
+    def layer_terms(self, network, target):
+        """``Processor.layer_terms`` of ``target``'s processor, cached.
+
+        ``terms[layer, vf]`` for ``network`` at ``target``'s precision,
+        on the device's processor for a local target and on the remote
+        system's for a remote one.  One table serves every V/F step of
+        the pair and every slice of the layer list: ``execute``, the
+        sweep, and the split and pipelined executions, whose head, tail
+        and segment times are sums over row ranges of it.  A remote
+        system always runs at its top V/F step, so its table keeps only
+        that column (``vf`` index -1).
         """
-        key = (role, network.name, precision)
+        key = (network.name, target.location, target.role,
+               target.precision)
         terms = self._layer_terms.get(key)
         if terms is None:
-            proc = self._environment.device.soc.processor(role)
-            terms = self._layer_terms[key] = proc.layer_terms(
-                network.layers, precision)
+            terms = self._processor(target).layer_terms(network.layers,
+                                                        target.precision)
+            if target.location is not Location.LOCAL:
+                terms = terms[:, -1:].copy()
+            self._layer_terms[key] = terms
         return terms
 
     def local_nominal(self, network, target, observation, constants):
@@ -514,10 +538,10 @@ class NominalCostEngine:
         if local.size:
             slowdown_by_kind = [interference.slowdown(kind, load)
                                 for kind in self._kinds]
-            for (role, precision, dispatch_ms, kind_code, indices,
+            for (target, dispatch_ms, kind_code, indices,
                  vf_indices) in self._local_groups:
                 latency_ms[indices] = sum_layer_terms(
-                    self._terms_for(role, network, precision),
+                    self.layer_terms(network, target),
                     slowdown_by_kind[kind_code], dispatch_ms)[vf_indices]
             local_latency_ms = latency_ms[local]
             busy_mj = (self._busy_power_mw_by_target[local]
@@ -560,7 +584,7 @@ class NominalCostEngine:
             energy_mj[indices] = radio_mj + overhead_mj
 
         return NominalSweep(
-            targets=self._targets,
+            space=self._space,
             latency_ms=_readonly(latency_ms),
             energy_mj=_readonly(energy_mj),
             estimated_energy_mj=_readonly(estimated_energy_mj),

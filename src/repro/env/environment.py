@@ -400,7 +400,7 @@ class EdgeCloudEnvironment:
             self.device, remote, network, split_point, local_target,
             remote_target, link, self._rssi_for(remote_target, observation),
             self._load_from(observation), self.interference, self.accuracy,
-            rng=rng, noise=self.noise,
+            self._cost_engine.layer_terms, rng=rng, noise=self.noise,
         )
         if not deterministic:
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)
@@ -414,7 +414,8 @@ class EdgeCloudEnvironment:
         rng = None if deterministic else self.rng
         result = pipelined_local_execution(
             self.device, network, segments, self._load_from(observation),
-            self.interference, self.accuracy, rng=rng, noise=self.noise,
+            self.interference, self.accuracy, self._cost_engine.layer_terms,
+            rng=rng, noise=self.noise,
         )
         if not deterministic:
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)

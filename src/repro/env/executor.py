@@ -22,8 +22,9 @@ location: :func:`local_finisher` and :func:`remote_finisher`, which turn
 nominal components plus jitters into an :class:`ExecutionResult`.
 :meth:`EdgeCloudEnvironment.execute` feeds them nominals from the cost
 engine's exact caches; the NeuroSurgeon and MOSAIC executors below time
-their segments with ``Processor.layers_latency_ms``, the same per-layer
-sum.  The layer-walk reference lives in ``tests/env/layer_walk.py``.
+their segments by summing row ranges of the same engine's per-layer term
+tables (:meth:`~repro.env.costcache.NominalCostEngine.layer_terms`).
+The layer-walk references live in ``tests/env/layer_walk.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.hardware.power import (
     gpu_energy_mj,
     platform_energy_mj,
 )
-from repro.hardware.processor import ProcessorKind
+from repro.hardware.processor import ProcessorKind, sum_layer_terms
 from repro.wireless.energy import transmission_energy_mj
 
 __all__ = [
@@ -241,9 +242,21 @@ def remote_finisher(device, link, target):
     return finish
 
 
+def _rows_ms(terms, start, stop, vf_index, proc, slowdown=1.0):
+    """Latency of layers ``start:stop`` from a ``[layer, vf]`` term table.
+
+    ``Processor.layers_latency_ms`` of that slice bit for bit: the same
+    per-layer terms, summed left to right by ``sum_layer_terms``.
+    """
+    if slowdown < 1.0:
+        raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
+    return float(sum_layer_terms(terms[start:stop, vf_index], slowdown,
+                                 proc.dispatch_ms))
+
+
 def partitioned_execution(device, remote, network, split_point,
                           local_target, remote_target, link, rssi_dbm,
-                          load, interference, accuracy_table,
+                          load, interference, accuracy_table, terms,
                           rng=None, noise=NoiseConfig()):
     """Layer-granularity split: head runs locally, tail remotely.
 
@@ -252,10 +265,14 @@ def partitioned_execution(device, remote, network, split_point,
     halves must be non-empty: a split at 0 or at the final layer is a
     whole-model offload or local run, which
     :meth:`~repro.env.environment.EdgeCloudEnvironment.execute_split`
-    sends through ``execute``.
+    sends through ``execute``.  ``terms(network, target)`` returns the
+    target's processor's ``[layer, vf]`` term table for the whole
+    network (the cost engine's
+    :meth:`~repro.env.costcache.NominalCostEngine.layer_terms`); the
+    head and tail times are sums over its rows.
     """
-    head, tail = network.split(split_point)
-    if not head or not tail:
+    num_layers = len(network.layers)
+    if not 0 < split_point < num_layers:
         raise ConfigError(
             f"split point {split_point} leaves one side empty; run the "
             "whole model through execute instead"
@@ -265,13 +282,14 @@ def partitioned_execution(device, remote, network, split_point,
     slowdown = interference.slowdown(proc.kind, load)
     tx_slow = interference.transmission_slowdown(load)
     local_ms = (
-        proc.layers_latency_ms(head, local_target.precision,
-                               local_target.vf_index, slowdown)
+        _rows_ms(terms(network, local_target), 0, split_point,
+                 local_target.vf_index, proc, slowdown)
         * _jitter(rng, noise.latency_sigma)
     )
     remote_proc = remote.soc.processor(remote_target.role)
     remote_ms = (
-        remote_proc.layers_latency_ms(tail, remote_target.precision)
+        _rows_ms(terms(network, remote_target), split_point, num_layers,
+                 -1, remote_proc)
         * _jitter(rng, noise.server_sigma)
     )
     wire_bytes = (network.transfer_bytes_at(split_point)
@@ -328,7 +346,7 @@ _DRAM_COPY_GBPS = 4.0
 
 
 def pipelined_local_execution(device, network, segments, load,
-                              interference, accuracy_table,
+                              interference, accuracy_table, terms,
                               rng=None, noise=NoiseConfig()):
     """Contiguous layer segments on different *local* processors.
 
@@ -339,6 +357,11 @@ def pipelined_local_execution(device, network, segments, load,
     Args:
         segments: list of ``(num_layers, ExecutionTarget)`` covering the
             network's layer list in order; all targets must be LOCAL.
+        terms: ``terms(network, target)`` returns the target's
+            processor's ``[layer, vf]`` term table for the whole network
+            (the cost engine's
+            :meth:`~repro.env.costcache.NominalCostEngine.layer_terms`);
+            each segment's time is a sum over its rows.
     """
     total_layers = sum(count for count, _ in segments)
     if total_layers != len(network.layers):
@@ -358,12 +381,11 @@ def pipelined_local_execution(device, network, segments, load,
         if target.location is not Location.LOCAL:
             raise ConfigError(f"{target} is not local; MOSAIC slices "
                               "within the device")
-        layers = network.layers[cursor:cursor + count]
         proc = device.soc.processor(target.role)
         slowdown = interference.slowdown(proc.kind, load)
         segment_ms = (
-            proc.layers_latency_ms(layers, target.precision,
-                                   target.vf_index, slowdown)
+            _rows_ms(terms(network, target), cursor, cursor + count,
+                     target.vf_index, proc, slowdown)
             * _jitter(rng, noise.latency_sigma)
         )
         if previous_role is not None and previous_role != target.role:

@@ -1,13 +1,79 @@
 """Tests for the static baseline policies."""
 
+import pytest
+
 from repro.baselines.static import (
     CloudOffload,
     ConnectedEdgeOffload,
     EdgeBest,
     EdgeCpuFp32,
 )
+from repro.env.environment import EdgeCloudEnvironment
+from repro.env.observation import Observation
+from repro.env.qos import use_cases_for_zoo
 from repro.env.target import Location
+from repro.hardware.devices import PHONE_NAMES, build_device
 from repro.models.quantization import Precision
+
+
+def _scan_top_vf(environment, location):
+    """The target scan the static baselines ran per call: every target
+    of ``location``, the top V/F step kept per (role, precision)."""
+    chosen = {}
+    for target in environment.targets():
+        if target.location is not location:
+            continue
+        slot = (target.role, target.precision)
+        if slot not in chosen or target.vf_index > chosen[slot].vf_index:
+            chosen[slot] = target
+    return list(chosen.values())
+
+
+def _scan_best_local(environment, use_case, observation):
+    """Edge (Best) by scan: the first feasibility-first min-energy
+    top-step local target under quiescent nominal estimates."""
+    quiet = Observation(rssi_wlan_dbm=observation.rssi_wlan_dbm,
+                        rssi_p2p_dbm=observation.rssi_p2p_dbm,
+                        now_ms=observation.now_ms)
+    results = [(target, environment.estimate(use_case.network, target,
+                                             quiet))
+               for target in _scan_top_vf(environment, Location.LOCAL)]
+    results = [(target, result) for target, result in results
+               if use_case.meets_accuracy(result.accuracy_pct)]
+    feasible = [(target, result) for target, result in results
+                if result.latency_ms <= use_case.qos_ms]
+    pool = feasible or results
+    best = pool[0]
+    for candidate in pool[1:]:
+        if candidate[1].energy_mj < best[1].energy_mj:
+            best = candidate
+    return best[0]
+
+
+@pytest.mark.parametrize("device_name", (*PHONE_NAMES, "mi8pro_npu"))
+def test_static_choices_match_the_scan(zoo, device_name):
+    env = EdgeCloudEnvironment(build_device(device_name), scenario="S3",
+                               seed=0)
+    observation = env.observe()
+    cpu_fp32 = [target for target in _scan_top_vf(env, Location.LOCAL)
+                if target.role == "cpu"
+                and target.precision is Precision.FP32]
+    edge_cpu, edge_best = EdgeCpuFp32(), EdgeBest()
+    for case in use_cases_for_zoo(zoo):
+        assert edge_cpu.select(env, case, observation) is cpu_fp32[0]
+        assert edge_best.select(env, case, observation) \
+            == _scan_best_local(env, case, observation)
+
+
+def test_cpu_target_follows_the_environment(mobilenet_case):
+    """One EdgeCpuFp32 used on environments of different devices returns
+    each environment's own target."""
+    policy = EdgeCpuFp32()
+    for device_name in ("mi8pro", "moto_x_force", "mi8pro"):
+        env = EdgeCloudEnvironment(build_device(device_name), seed=0)
+        target = policy.select(env, mobilenet_case, env.observe())
+        assert target in env.action_space
+        assert target.vf_index == env.device.soc.cpu.num_vf_steps - 1
 
 
 class TestEdgeCpuFp32:

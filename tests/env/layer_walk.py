@@ -12,7 +12,11 @@ executors built on that walk: they compute the nominals, draw the
 jitters one ``rng.normal`` call at a time in the pinned slot order, and
 finish through the program's eq. (1)-(4) finishers.
 ``EdgeCloudEnvironment.execute``/``estimate`` must match them bit for
-bit.
+bit.  :func:`split_execution` and :func:`pipelined_execution` are the
+layer-granularity (NeuroSurgeon and MOSAIC) executors, walking each
+head, tail or segment slice; ``execute_split``/``execute_pipelined``,
+which sum row ranges of the cost engine's term tables, must match them
+bit for bit too.
 """
 
 import math
@@ -20,6 +24,18 @@ import math
 from repro.common import ConfigError
 from repro.env.executor import NoiseConfig, local_finisher, remote_finisher
 from repro.env.target import Location
+from repro.hardware.power import (
+    cpu_energy_mj,
+    dsp_energy_mj,
+    gpu_energy_mj,
+    platform_energy_mj,
+)
+from repro.hardware.processor import ProcessorKind
+from repro.wireless.energy import transmission_energy_mj
+
+#: The pipelined executor's hand-off cost (ms) and DRAM copy bandwidth.
+HOP_OVERHEAD_MS = 2.5
+DRAM_COPY_GBPS = 4.0
 
 
 def layer_ms(proc, layer, precision, vf_index=-1, slowdown=1.0):
@@ -97,3 +113,113 @@ def remote_execution(device, remote, network, target, link, rssi_dbm,
         link.tx_power_mw(rssi_dbm),
         accuracy_table.lookup(network.name, target.precision), jitters,
     )
+
+
+def _contention(load):
+    return 1.0 + 0.10 * load.mem_util + 0.05 * load.cpu_util
+
+
+def _busy_energy_mj(proc, busy_ms, vf_index):
+    if proc.kind is ProcessorKind.CPU:
+        return cpu_energy_mj(proc, busy_ms, vf_index=vf_index)
+    if proc.kind is ProcessorKind.GPU:
+        return gpu_energy_mj(proc, busy_ms, vf_index=vf_index)
+    return dsp_energy_mj(proc, busy_ms)
+
+
+def split_execution(device, remote, network, split_point, local_target,
+                    remote_target, link, rssi_dbm, load, interference,
+                    accuracy_table, rng=None, noise=None):
+    """Head ``layers[:split_point]`` locally, tail remotely (NeuroSurgeon).
+
+    Draw order: local latency, server, tx, rx, rtt, power.
+    """
+    noise = NoiseConfig() if noise is None else noise
+    head, tail = network.split(split_point)
+    if not head or not tail:
+        raise ConfigError(f"split point {split_point} leaves a side empty")
+    proc = device.soc.processor(local_target.role)
+    slowdown = interference.slowdown(proc.kind, load)
+    tx_slow = interference.transmission_slowdown(load)
+    local_ms = (walk_ms(proc, head, local_target.precision,
+                        local_target.vf_index, slowdown)
+                * _jitter(rng, noise.latency_sigma))
+    remote_ms = (walk_ms(remote.soc.processor(remote_target.role), tail,
+                         remote_target.precision)
+                 * _jitter(rng, noise.server_sigma))
+    wire_bytes = (network.transfer_bytes_at(split_point)
+                  * local_target.precision.size_ratio)
+    tx_ms = (link.transfer_ms(wire_bytes, rssi_dbm) * tx_slow
+             * _jitter(rng, noise.network_sigma))
+    rx_ms = (link.transfer_ms(network.output_bytes, rssi_dbm) * tx_slow
+             * _jitter(rng, noise.network_sigma))
+    rtt_ms = link.effective_rtt_ms(rssi_dbm) * _jitter(rng,
+                                                       noise.network_sigma)
+    latency_ms = local_ms + tx_ms + rtt_ms + remote_ms + rx_ms
+    busy_mj = _busy_energy_mj(proc, local_ms, local_target.vf_index)
+    radio = transmission_energy_mj(
+        link, rssi_dbm, wire_bytes, network.output_bytes,
+        latency_ms - local_ms, tx_ms=tx_ms, rx_ms=rx_ms,
+    )
+    overhead_mj = platform_energy_mj(device.soc.platform_idle_mw,
+                                     latency_ms)
+    if local_target.role != "cpu":
+        overhead_mj += device.soc.cpu.idle_power_mw * latency_ms / 1000.0
+    return {
+        "latency_ms": latency_ms,
+        "energy_mj": ((busy_mj * _contention(load) + radio.radio_energy_mj)
+                      * _jitter(rng, noise.power_sigma) + overhead_mj),
+        "estimated_energy_mj": busy_mj + radio.radio_energy_mj
+        + overhead_mj,
+        "accuracy_pct": min(
+            accuracy_table.lookup(network.name, local_target.precision),
+            accuracy_table.lookup(network.name, remote_target.precision)),
+        "target_key": (f"split@{split_point}:{local_target.key}"
+                       f"->{remote_target.key}"),
+        "detail": {"local_ms": local_ms, "remote_ms": remote_ms,
+                   "tx_ms": tx_ms, "rtt_ms": rtt_ms,
+                   "wire_bytes": wire_bytes},
+    }
+
+
+def pipelined_execution(device, network, segments, load, interference,
+                        accuracy_table, rng=None, noise=None):
+    """Contiguous segments on local processors (MOSAIC); one latency
+    draw per segment, then power."""
+    noise = NoiseConfig() if noise is None else noise
+    latency_ms = busy_mj = cpu_busy_ms = 0.0
+    cursor = 0
+    previous_role = None
+    for count, target in segments:
+        proc = device.soc.processor(target.role)
+        slowdown = interference.slowdown(proc.kind, load)
+        segment_ms = (walk_ms(proc, network.layers[cursor:cursor + count],
+                              target.precision, target.vf_index, slowdown)
+                      * _jitter(rng, noise.latency_sigma))
+        if previous_role is not None and previous_role != target.role:
+            latency_ms += (HOP_OVERHEAD_MS
+                           + network.layers[cursor - 1].output_bytes
+                           / (DRAM_COPY_GBPS * 1e6))
+        latency_ms += segment_ms
+        busy_mj += _busy_energy_mj(proc, segment_ms, target.vf_index)
+        if target.role == "cpu":
+            cpu_busy_ms += segment_ms
+        previous_role = target.role
+        cursor += count
+    if cursor != len(network.layers):
+        raise ConfigError("segments do not cover the network")
+    overhead_mj = platform_energy_mj(device.soc.platform_idle_mw, latency_ms)
+    overhead_mj += (device.soc.cpu.idle_power_mw
+                    * max(0.0, latency_ms - cpu_busy_ms) / 1000.0)
+    return {
+        "latency_ms": latency_ms,
+        "energy_mj": (busy_mj * _contention(load)
+                      * _jitter(rng, noise.power_sigma) + overhead_mj),
+        "estimated_energy_mj": busy_mj + overhead_mj,
+        "accuracy_pct": min(accuracy_table.lookup(network.name,
+                                                  target.precision)
+                            for _, target in segments),
+        "target_key": "mosaic[" + "+".join(
+            f"{count}x{target.role}" for count, target in segments) + "]",
+        "detail": {"busy_mj": busy_mj, "segments": float(len(segments))},
+    }

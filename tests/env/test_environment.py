@@ -1,5 +1,8 @@
 """Tests for the EdgeCloudEnvironment."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common import ConfigError
@@ -29,6 +32,28 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             EdgeCloudEnvironment(mi8pro_device, cloud=False,
                                  connected=False)
+
+    def test_dropped_environment_is_freed_without_the_collector(
+            self, mi8pro_device, zoo):
+        """No reference cycle: the cost engine does not keep its
+        environment alive, warm caches included."""
+        network = zoo["inception_v1"]
+        env = EdgeCloudEnvironment(mi8pro_device, scenario="S2", seed=0)
+        observation = env.observe()
+        env.estimate_all(network, observation)
+        for target in env.targets()[::7]:
+            env.execute(network, target, observation)
+        local, remote = _split_targets(env)
+        env.execute_split(network, 10, local, remote, observation)
+        env.execute_pipelined(network, [(10, local), (53, local)],
+                              observation)
+        ref = weakref.ref(env)
+        gc.disable()
+        try:
+            del env
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestObserve:
@@ -200,5 +225,5 @@ class TestEndPointSplits:
                 len(network.layers) if at_end else 0, local, remote,
                 env.wifi, observation.rssi_wlan_dbm,
                 env._load_from(observation), env.interference,
-                env.accuracy,
+                env.accuracy, env.cost_engine.layer_terms,
             )

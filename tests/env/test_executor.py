@@ -23,6 +23,16 @@ from repro.wireless.profiles import default_wifi
 from tests.env.layer_walk import local_execution, remote_execution
 
 
+def _terms(device, remote=None):
+    """A ``terms(network, target)`` table source built straight from
+    the processors (no cost engine)."""
+    def terms(network, target):
+        system = device if target.location is Location.LOCAL else remote
+        return system.soc.processor(target.role).layer_terms(
+            network.layers, target.precision)
+    return terms
+
+
 @pytest.fixture()
 def device():
     return build_device("mi8pro")
@@ -181,15 +191,16 @@ class TestRemoteExecution:
 class TestPartitionedExecution:
     def _run(self, zoo, point, net="inception_v1", load=None):
         device = build_device("mi8pro")
+        cloud = cloud_server()
         local = ExecutionTarget(Location.LOCAL, "cpu", Precision.FP32,
                                 device.soc.cpu.num_vf_steps - 1)
         remote = ExecutionTarget(Location.CLOUD, "gpu", Precision.FP32)
         return partitioned_execution(
-            device, cloud_server(), zoo[net], point, local, remote,
+            device, cloud, zoo[net], point, local, remote,
             default_wifi(), -55.0,
             load if load is not None else CoRunnerLoad(),
             InterferenceModel(thermal=device.soc.thermal),
-            DEFAULT_ACCURACY,
+            DEFAULT_ACCURACY, _terms(device, cloud),
         )
 
     def test_corunner_slows_split_radio_path(self, zoo):
@@ -232,7 +243,7 @@ class TestPipelinedExecution:
             pipelined_local_execution(
                 device, net, bad, CoRunnerLoad(),
                 InterferenceModel(thermal=device.soc.thermal),
-                DEFAULT_ACCURACY,
+                DEFAULT_ACCURACY, _terms(device),
             )
 
     def test_hop_overhead_charged(self, zoo, device):
@@ -240,14 +251,14 @@ class TestPipelinedExecution:
         interference = InterferenceModel(thermal=device.soc.thermal)
         split = pipelined_local_execution(
             device, net, self._segments(device, net, 20), CoRunnerLoad(),
-            interference, DEFAULT_ACCURACY,
+            interference, DEFAULT_ACCURACY, _terms(device),
         )
         cpu_only = pipelined_local_execution(
             device, net,
             [(len(net.layers),
               ExecutionTarget(Location.LOCAL, "cpu", Precision.INT8,
                               device.soc.cpu.num_vf_steps - 1))],
-            CoRunnerLoad(), interference, DEFAULT_ACCURACY,
+            CoRunnerLoad(), interference, DEFAULT_ACCURACY, _terms(device),
         )
         assert split.detail["segments"] == 2.0
         assert cpu_only.detail["segments"] == 1.0
@@ -257,7 +268,7 @@ class TestPipelinedExecution:
         result = pipelined_local_execution(
             device, net, self._segments(device, net, 20), CoRunnerLoad(),
             InterferenceModel(thermal=device.soc.thermal),
-            DEFAULT_ACCURACY,
+            DEFAULT_ACCURACY, _terms(device),
         )
         assert result.accuracy_pct == DEFAULT_ACCURACY.lookup(
             "mobilenet_v3", Precision.INT8
@@ -270,7 +281,7 @@ class TestPipelinedExecution:
             pipelined_local_execution(
                 device, net, [(len(net.layers), cloud)], CoRunnerLoad(),
                 InterferenceModel(thermal=device.soc.thermal),
-                DEFAULT_ACCURACY,
+                DEFAULT_ACCURACY, _terms(device),
             )
 
 
