@@ -11,25 +11,26 @@ runs a realistic multi-service afternoon on a Galaxy S10e:
 
 under the D4 environment (co-running apps switching between a music
 player and a web browser).  The trace recorder then reports where the
-work ran, how often it migrated, and what the afternoon cost.
+work ran, how often it migrated, and what the afternoon cost.  The
+services' request streams come from ``repro.serving.arrivals`` and are
+served through :class:`~repro.core.service.AutoScaleService` on the
+direct path (``ServingConfig.disabled()``).
 
 Run:  python examples/multi_service.py
 """
 
 from repro import (
-    AutoScale,
     EdgeCloudEnvironment,
+    MarkovModulatedArrivals,
+    PoissonArrivals,
+    ServingConfig,
     build_device,
     build_network,
+    make_rng,
     use_case_for,
 )
-from repro.core.tracing import TraceRecorder
-from repro.env.workload import (
-    MixedWorkload,
-    PoissonWorkload,
-    SessionWorkload,
-    run_workload,
-)
+from repro.core.service import AutoScaleService
+from repro.serving import merge_arrivals
 
 WARMUP_RUNS = 150
 AFTERNOON_MS = 10 * 60 * 1000.0  # ten (virtual) minutes
@@ -38,7 +39,7 @@ AFTERNOON_MS = 10 * 60 * 1000.0  # ten (virtual) minutes
 def main():
     env = EdgeCloudEnvironment(build_device("galaxy_s10e"),
                                scenario="D4", seed=21)
-    engine = AutoScale(env, seed=21)
+    service = AutoScaleService(env, seed=21)
 
     photo = use_case_for(build_network("mobilenet_v3"))
     detect = use_case_for(build_network("ssd_mobilenet_v2"))
@@ -46,30 +47,33 @@ def main():
 
     print("warming the shared Q-table up on all three services ...")
     for case in (photo, detect, translate):
-        engine.run(case, WARMUP_RUNS)
+        service.register(case)
+        service.engine.run(case, WARMUP_RUNS)
 
-    workload = MixedWorkload((
-        SessionWorkload(photo, session_ms=8_000.0, idle_ms=45_000.0,
-                        in_session_interval_ms=800.0),
-        PoissonWorkload(detect, arrivals_per_s=0.2),
-        SessionWorkload(translate, session_ms=12_000.0,
-                        idle_ms=90_000.0,
-                        in_session_interval_ms=2_500.0),
-    ))
+    # Bursty services are calm/burst Markov-modulated streams: dense
+    # requests while the camera is up or the user types, long gaps
+    # between.
+    streams = (
+        MarkovModulatedArrivals(photo.name, calm_per_s=0.02,
+                                burst_per_s=1.25, calm_dwell_ms=45_000.0,
+                                burst_dwell_ms=8_000.0),
+        PoissonArrivals(detect.name, arrivals_per_s=0.2),
+        MarkovModulatedArrivals(translate.name, calm_per_s=0.01,
+                                burst_per_s=0.4, calm_dwell_ms=90_000.0,
+                                burst_dwell_ms=12_000.0),
+    )
+    rng = make_rng(21)
+    arrivals = merge_arrivals(*(stream.generate(AFTERNOON_MS, rng)
+                                for stream in streams))
 
-    recorder = TraceRecorder()
-    env.clock.reset()
-
-    # Wrap run_workload's stepping so every inference is traced.
-    requests = workload.generate(AFTERNOON_MS, rng=engine.rng)
-    print(f"running {len(requests)} inferences over "
+    # The afternoon starts on a fresh timeline.  The direct path
+    # (no queue, no shedder) advances the clock to each arrival and
+    # traces every inference.
+    env.rewind_clock()
+    print(f"running {len(arrivals)} inferences over "
           f"{AFTERNOON_MS / 60000:.0f} virtual minutes (scenario D4)\n")
-    for request in requests:
-        if request.at_ms > env.clock.now_ms:
-            env.clock.advance(request.at_ms - env.clock.now_ms)
-        step = engine.step(request.use_case)
-        recorder.record_step(step, request.use_case,
-                             at_ms=env.clock.now_ms)
+    service.serve(arrivals, ServingConfig.disabled())
+    recorder = service.trace
 
     summary = recorder.summary()
     print(f"inferences        : {summary['num_inferences']}")

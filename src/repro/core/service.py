@@ -296,10 +296,8 @@ class AutoScaleService:
             "converged": self.engine.converged,
             "breakers": self.breaker_states(),
             "guard": self.guard.status(),
+            "faults": self.environment.fault_stats.as_dict(),
         }
-        fault_stats = getattr(self.environment, "fault_stats", None)
-        if fault_stats is not None:
-            status["faults"] = fault_stats.as_dict()
         if len(self.trace):
             status.update(self.trace.summary())
         return status

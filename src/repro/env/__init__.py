@@ -32,15 +32,6 @@ from repro.env.target import (
     combine_masks,
     enumerate_targets,
 )
-from repro.env.workload import (
-    InferenceRequest,
-    MixedWorkload,
-    PoissonWorkload,
-    SessionWorkload,
-    SteadyWorkload,
-    run_workload,
-)
-
 __all__ = [
     "CacheStats",
     "NominalCostEngine",
@@ -69,10 +60,4 @@ __all__ = [
     "Location",
     "combine_masks",
     "enumerate_targets",
-    "InferenceRequest",
-    "MixedWorkload",
-    "PoissonWorkload",
-    "SessionWorkload",
-    "SteadyWorkload",
-    "run_workload",
 ]

@@ -25,7 +25,6 @@ import math
 
 from repro.common import ConfigError, Stopwatch, make_rng
 from repro.env.costcache import NominalCostEngine
-from repro.env.injection import resolve_injector
 from repro.env.executor import (
     NoiseConfig,
     jitter_slots,
@@ -165,19 +164,20 @@ class EdgeCloudEnvironment:
 
     @faults.setter
     def faults(self, plan):
-        # Resolved through the dependency-inverted injection interface:
-        # repro.faults registers the real injector factory at import
-        # time, so this layer never imports upward.  The previous
-        # injector's outage event chains are detached first — swapping
-        # plans mid-run must not leave stale boundaries on the heap.
-        previous = getattr(self, "_fault_injector", None)
-        if previous is not None:
-            previous.detach()
-        self._fault_injector = resolve_injector(plan, self.kernel)
+        # repro.faults sits above this layer; the function-scope import
+        # is RL104's sanctioned escape (as in AutoScaleService.serve).
+        from repro.faults.failure import FaultInjector
+        self._fault_injector = FaultInjector(plan)
 
     @property
     def fault_stats(self):
-        """Cumulative injected-fault counters and billed energy."""
+        """The injected-fault counters and billed energy of the current
+        plan.
+
+        Each assignment to :attr:`faults` builds a fresh injector, so
+        the ledger counts only the attempts made since the last
+        assignment (the ``midrun_fault_attach`` fixture pins this).
+        """
         return self._fault_injector.stats
 
     @property
@@ -237,12 +237,12 @@ class EdgeCloudEnvironment:
     # ------------------------------------------------------------------
     # The environment owns the virtual timeline's *interface*; the
     # event kernel (repro.sim) owns its *writes*.  Every component that
-    # needs to move time — workload idle gaps, retry backoff, profiling
+    # needs to move time — arrival idle gaps, retry backoff, profiling
     # sweeps, episode rewinds — goes through these three methods, which
-    # delegate to the kernel so pending timeline events (arrivals,
-    # outage boundaries, retry timers) fire in deterministic order as
-    # time passes.  reprolint's RL103 enforces the funnel: only the
-    # kernel and the Stopwatch primitive may write the clock.
+    # delegate to the kernel so pending timeline events (retry timers,
+    # guard ticks, timers) fire in deterministic order as time passes.
+    # reprolint's RL103 enforces the funnel: only the kernel and the
+    # Stopwatch primitive may write the clock.
 
     def advance_clock(self, delta_ms):
         """Advance the virtual clock by ``delta_ms`` (>= 0)."""
@@ -259,9 +259,8 @@ class EdgeCloudEnvironment:
     def rewind_clock(self):
         """Rewind the virtual clock to zero without reseeding.
 
-        Pending timeline events are dropped and event subscribers
-        (the outage schedule) re-arm on the fresh timeline via the
-        kernel's rewind hooks.
+        Pending timeline events are dropped.  Outage coverage needs no
+        re-arming: it is a function of the plan and the clock.
         """
         self.kernel.rewind()
 
@@ -329,13 +328,6 @@ class EdgeCloudEnvironment:
         ])
         injector = self._fault_injector
         if remote and (injector.active or deadline_ms is not None):
-            if deadline_ms is not None and injector.plan is None:
-                # The null injector cannot enforce deadlines; upgrade to
-                # the real one (the deadline came from the resilience
-                # machinery, so repro.faults is imported by now and the
-                # factory is registered).
-                injector = self._fault_injector = \
-                    resolve_injector(None, self.kernel)
             _, link = self._remote_setup(target)
             idle_power_mw = (self.device.soc.platform_idle_mw
                              + self.device.soc.cpu.idle_power_mw

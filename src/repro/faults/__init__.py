@@ -2,9 +2,12 @@
 
 - :class:`FaultPlan` / :class:`OutageWindow` — declarative fault
   intensities attached to an
-  :class:`~repro.env.environment.EdgeCloudEnvironment`;
+  :class:`~repro.env.environment.EdgeCloudEnvironment`; an outage
+  covers an attempt when :meth:`OutageWindow.covers` holds at the
+  attempt's start (a pure function of the plan and the clock);
 - :class:`FaultInjector` / :class:`FailedAttempt` — the runtime that
-  kills remote attempts and bills the energy they burned;
+  kills remote attempts and bills the energy they burned; assigning
+  ``env.faults = plan`` builds the environment's injector;
 - :class:`CircuitBreaker` — per-remote-target failure masking;
 - :class:`ResiliencePolicy` — the serving-path knobs consumed by
   :class:`~repro.core.service.AutoScaleService`.

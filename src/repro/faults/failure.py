@@ -26,8 +26,7 @@ from typing import Dict
 
 from repro.analysis.contracts import ensure_energy_mj, ensure_latency_ms
 from repro.common import ConfigError, SimulationError
-from repro.env.injection import RequestInjector, register_injector_factory
-from repro.faults.outages import OutageSchedule
+from repro.faults.plan import FaultPlan
 
 __all__ = ["FaultKind", "FailedAttempt", "FaultStats", "FaultInjector",
            "truncate_attempt"]
@@ -145,7 +144,7 @@ class FaultStats:
         }
 
 
-class FaultInjector(RequestInjector):
+class FaultInjector:
     """Samples a :class:`~repro.faults.plan.FaultPlan` per remote attempt.
 
     The environment calls :meth:`apply` with the would-be
@@ -155,38 +154,20 @@ class FaultInjector(RequestInjector):
     recorded in :attr:`stats` (the ledger the conservation tests audit).
 
     Fault order per attempt: unavailability (deterministic from the
-    clock), packet loss (RSSI-tied), mid-flight abort, straggler
-    stretch, then the caller's deadline.  Inactive faults draw nothing
-    from ``rng``, so a ``FaultPlan.none()`` injector is a strict no-op.
-
-    With an event ``kernel`` bound (the environment passes its own
-    through the :mod:`repro.env.injection` factory), outage coverage is
-    tracked by an event-driven :class:`~repro.faults.outages.
-    OutageSchedule` instead of re-deriving the modulo per attempt; an
-    unbound injector (unit tests, standalone use) falls back to
-    :meth:`~repro.faults.plan.FaultPlan.outage_covers`.
+    clock: :meth:`~repro.faults.plan.FaultPlan.outage_covers` at the
+    attempt's start), packet loss (RSSI-tied), mid-flight abort,
+    straggler stretch, then the caller's deadline.  Inactive faults
+    draw nothing from ``rng``, so a ``FaultPlan.none()`` injector is a
+    strict no-op.  A ``None`` plan means ``FaultPlan.none()``.
     """
 
-    def __init__(self, plan, kernel=None):
-        self.plan = plan
+    def __init__(self, plan=None):
+        self.plan = plan if plan is not None else FaultPlan.none()
         self.stats = FaultStats()
-        self._outages = (OutageSchedule(plan.outages, kernel)
-                         if kernel is not None and plan.outages else None)
 
     @property
     def active(self):
         return self.plan.active
-
-    def detach(self):
-        """Release the outage schedule's kernel subscriptions."""
-        if self._outages is not None:
-            self._outages.detach()
-            self._outages = None
-
-    def _outage_covers(self, location, now_ms):
-        if self._outages is not None:
-            return self._outages.covering(location, now_ms)
-        return self.plan.outage_covers(location, now_ms)
 
     # ------------------------------------------------------------------
     # Per-attempt application
@@ -213,7 +194,7 @@ class FaultInjector(RequestInjector):
         """
         self.stats.attempts += 1
         plan = self.plan
-        if self._outage_covers(target.location, now_ms):
+        if plan.outage_covers(target.location, now_ms):
             elapsed_ms = plan.unavailable_timeout_ms
             idle_mj = idle_power_mw * elapsed_ms / 1000.0
             return self._book(FailedAttempt(
@@ -281,18 +262,3 @@ class FaultInjector(RequestInjector):
             estimated_energy_mj=result.estimated_energy_mj + extra_mj,
             detail={**result.detail, "straggler_extra_ms": extra_ms},
         )
-
-
-def _build_injector(plan, kernel):
-    """The environment-side factory (see :mod:`repro.env.injection`).
-
-    A ``None`` plan normalizes to the fault-free plan so the historical
-    ``env.faults`` surface (always a :class:`~repro.faults.plan.
-    FaultPlan`, never ``None``) is preserved.
-    """
-    from repro.faults.plan import FaultPlan  # deferred: plan -> env.target
-    return FaultInjector(plan if plan is not None else FaultPlan.none(),
-                         kernel=kernel)
-
-
-register_injector_factory(_build_injector)

@@ -631,7 +631,7 @@ class ServingPipeline:
     def status(self):
         """One call, full serving health: queue, sheds, brownout, the
         environment's fault ledger, and the policy guard's counters."""
-        status = {
+        return {
             "queue_depth": self.queue.depth,
             "queue_peak_depth": self.queue.peak_depth,
             "queue_admitted": self.queue.admitted,
@@ -641,9 +641,5 @@ class ServingPipeline:
             "brownout_deescalations": self.brownout.deescalations,
             "sheds": self.shed_stats.as_dict(),
             "guard": self.guard.status(),
+            "faults": self.service.environment.fault_stats.as_dict(),
         }
-        fault_stats = getattr(self.service.environment, "fault_stats",
-                              None)
-        if fault_stats is not None:
-            status["faults"] = fault_stats.as_dict()
-        return status

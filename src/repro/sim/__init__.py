@@ -2,12 +2,12 @@
 
 Every component of the simulator lives on one virtual clock (the
 environment's :class:`~repro.common.Stopwatch`).  Before this package,
-each timeline producer — arrival replay, retry backoff, outage windows —
-swept time forward with its own ad-hoc arithmetic; the kernel replaces
-those sweeps with one clock funnel and a monotonic event heap:
+each timeline producer — arrival replay, retry backoff — swept time
+forward with its own ad-hoc arithmetic; the kernel replaces those
+sweeps with one clock funnel and a monotonic event heap:
 
 - :class:`EventKernel` — the heap, the clock-write funnel (RL103), and
-  the rewind hooks;
+  the episode rewind;
 - :class:`Event` / :class:`EventKind` — typed timeline events;
 - :class:`EventHandle` — the cancellation token for a scheduled event.
 

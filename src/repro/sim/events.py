@@ -27,11 +27,9 @@ __all__ = ["EventKind", "Event", "EventHandle"]
 class EventKind(enum.Enum):
     """What a scheduled timeline event represents."""
 
-    RETRY = "retry"                # a resilient-path backoff expiring
-    OUTAGE_START = "outage_start"  # a remote location going dark
-    OUTAGE_END = "outage_end"      # a remote location coming back
-    TIMER = "timer"                # a generic subscriber timer
-    GUARD_TICK = "guard_tick"      # a policy-guard evaluation instant
+    RETRY = "retry"            # a resilient-path backoff expiring
+    TIMER = "timer"            # a generic subscriber timer
+    GUARD_TICK = "guard_tick"  # a policy-guard evaluation instant
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class Event:
         kind: the typed discriminator (:class:`EventKind`).
         seq: kernel-assigned monotonic sequence number; the deterministic
             tie-breaker for events due at the same instant.
-        payload: opaque subscriber data (an outage window, a timer tag).
+        payload: opaque subscriber data (e.g. a timer tag).
     """
 
     time_ms: float

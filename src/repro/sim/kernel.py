@@ -3,11 +3,13 @@
 :class:`EventKernel` owns every write to the shared virtual clock
 (reprolint's RL103 approves exactly this module's ``advance_by`` /
 ``advance_to`` / ``rewind`` plus the :class:`~repro.common.Stopwatch`
-primitive itself).  Timeline producers — retry backoff, outage
-windows, guard ticks, timers — schedule typed
-:class:`~repro.sim.events.Event`\\ s on the heap instead of sweeping
-time with private arithmetic, and the kernel dispatches them in
-deterministic ``(time_ms, seq)`` order.
+primitive itself).  Timeline producers — retry backoff, guard ticks,
+timers — schedule typed :class:`~repro.sim.events.Event`\\ s on the
+heap instead of sweeping time with private arithmetic, and the kernel
+dispatches them in deterministic ``(time_ms, seq)`` order.  Outage
+windows are not events: whether a location is dark is a pure function
+of the fault plan and the clock
+(:meth:`~repro.faults.plan.FaultPlan.outage_covers`).
 
 Dispatch model — **advance, then fire**:
 
@@ -30,7 +32,7 @@ truthiness check.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.common import ConfigError
 from repro.sim.events import Event, EventHandle
@@ -51,7 +53,6 @@ class EventKernel:
         self.clock = clock
         self._heap: List[tuple] = []
         self._seq = 0
-        self._rewind_hooks: List[Callable[[], None]] = []
         self.scheduled = 0
         self.fired = 0
         self.dropped = 0  # cancelled entries skipped at the heap top
@@ -110,8 +111,8 @@ class EventKernel:
 
         Does not move the clock.  Events scheduled *by* a firing
         callback are dispatched too if they are already due — the loop
-        re-reads the heap top, so chained same-instant events (an outage
-        end scheduling the next period's start) settle in one call.
+        re-reads the heap top, so chained same-instant events (a callback
+        scheduling another event at or before now) settle in one call.
         """
         heap = self._heap
         if heap and heap[0][2].cancelled:
@@ -155,37 +156,19 @@ class EventKernel:
     # Rewind (episode boundaries)
     # ------------------------------------------------------------------
 
-    def on_rewind(self, hook):
-        """Register a zero-argument hook called after each rewind.
-
-        Subscribers with time-anchored state (the outage schedule) use
-        this to re-arm their event chains on the fresh timeline.
-        Returns the hook for later :meth:`off_rewind`.
-        """
-        self._rewind_hooks.append(hook)
-        return hook
-
-    def off_rewind(self, hook):
-        """Unregister a rewind hook (no-op if absent)."""
-        try:
-            self._rewind_hooks.remove(hook)
-        except ValueError:
-            pass
-
     def rewind(self):
         """Reset the clock to zero and drop every pending event.
 
         Pending events belong to the abandoned timeline, so the heap is
-        cleared wholesale; rewind hooks then re-arm whatever must exist
-        on the new one.  Scheduling counters keep accumulating across
-        rewinds (they are lifetime telemetry, not episode state).
+        cleared wholesale; a producer that needs an event on the new
+        timeline schedules it after the rewind.  Scheduling counters
+        keep accumulating across rewinds (they are lifetime telemetry,
+        not episode state).
         """
         self.clock.reset()
         self.dropped += sum(1 for _, _, handle in self._heap
                             if handle.live)
         self._heap.clear()
-        for hook in tuple(self._rewind_hooks):
-            hook()
 
     # ------------------------------------------------------------------
     # Internals

@@ -76,7 +76,7 @@ def test_faults_package_enters_with_zero_allowlist_entries():
     """The fault-injection/resilience subsystem is likewise born clean:
     every module passes every rule with the allowlist disabled."""
     report = lint_paths([SRC / "faults"], allowlist=False)
-    assert report.files_checked == 6
+    assert report.files_checked == 5
     assert report.ok, "\n" + report.format()
     assert not report.suppressed
 

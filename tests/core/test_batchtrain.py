@@ -227,9 +227,15 @@ class TestKernelEventsDuringTraining:
                 env.scenario = swap_to
 
         # train_autoscale rewinds the clock (dropping pending events) at
-        # each scenario; re-arm the TIMER on every rewind.
-        env.kernel.on_rewind(lambda: env.kernel.schedule(
-            SWAP_AT_MS, EventKind.TIMER, payload="swap", callback=swap))
+        # each scenario; re-arm the TIMER after every rewind.
+        rewind = env.kernel.rewind
+
+        def rewind_and_rearm():
+            rewind()
+            env.kernel.schedule(SWAP_AT_MS, EventKind.TIMER,
+                                payload="swap", callback=swap)
+
+        env.kernel.rewind = rewind_and_rearm
         if per_step:
             env.scenario = "S1"
             env.rewind_clock()

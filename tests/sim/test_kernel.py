@@ -235,32 +235,6 @@ class TestRewind:
         assert kernel.pending == 0
         assert kernel.advance_by(100.0) == []
 
-    def test_rewind_hooks_rearm(self):
-        kernel = _kernel()
-        episodes = []
-
-        def rearm():
-            kernel.schedule(5.0, EventKind.TIMER,
-                            callback=lambda e: episodes.append(
-                                kernel.now_ms))
-
-        kernel.on_rewind(rearm)
-        rearm()
-        kernel.advance_by(6.0)
-        kernel.rewind()
-        kernel.advance_by(6.0)
-        assert episodes == [6.0, 6.0]
-
-    def test_off_rewind_unsubscribes(self):
-        kernel = _kernel()
-        calls = []
-        hook = kernel.on_rewind(lambda: calls.append(1))
-        kernel.rewind()
-        kernel.off_rewind(hook)
-        kernel.off_rewind(hook)  # absent: no-op
-        kernel.rewind()
-        assert calls == [1]
-
 
 class _AdmissionLog(ServingPipeline):
     """A pipeline that records each admission and the clock at it."""

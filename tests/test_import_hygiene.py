@@ -53,3 +53,21 @@ def test_linter_cli_still_runs():
     assert lint.returncode == 0, lint.stdout + lint.stderr
     flow = _python("-m", "repro.analysis", "--flow", "src/repro")
     assert flow.returncode == 0, flow.stdout + flow.stderr
+
+
+def test_environment_alone_builds_the_fault_injector():
+    """An interpreter that imports only the environment module still
+    gets a real fault ledger and the fault-free plan: the environment
+    builds its injector itself."""
+    script = (
+        "import json\n"
+        "from repro.env.environment import EdgeCloudEnvironment\n"
+        "from repro.hardware.devices import build_device\n"
+        "env = EdgeCloudEnvironment(build_device('mi8pro'))\n"
+        "from repro.faults import FaultPlan, FaultStats\n"
+        "print(json.dumps([isinstance(env.fault_stats, FaultStats),\n"
+        "                  env.faults == FaultPlan.none()]))\n"
+    )
+    completed = _python("-c", script)
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout) == [True, True]
