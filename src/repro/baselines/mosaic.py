@@ -7,8 +7,9 @@ on the engine that suits its layers, while hand-off costs between engines
 are accounted for.
 
 Our implementation fits per-(processor, layer-type) linear latency models
-(the same regression family as NeuroSurgeon's) and enumerates all slicings
-with up to three segments over the device's processors.  True to the
+(the same regression family as NeuroSurgeon's) and prices all slicings
+with up to three segments over the device's processors, one numpy pass
+per segment count (:func:`best_slicing`).  True to the
 original's throughput orientation, the planner minimizes predicted
 *latency* (breaking ties on energy) subject to the accuracy constraint.
 Each processor uses its fastest accuracy-feasible precision at the top V/F
@@ -20,6 +21,8 @@ pinning the top V/F step are invisible to it, which is where AutoScale's
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.baselines.base import Scheduler
@@ -28,7 +31,7 @@ from repro.common import ConfigError
 from repro.env.target import ExecutionTarget, Location
 from repro.models.quantization import Precision
 
-__all__ = ["MosaicScheduler"]
+__all__ = ["MosaicScheduler", "best_slicing"]
 
 #: Hand-off penalty between segments (driver transition), matching the
 #: executor's pipelined-execution model.
@@ -42,6 +45,80 @@ _ROLE_PRECISIONS = {
     "dsp": (Precision.INT8,),
     "npu": (Precision.INT8,),
 }
+
+
+def _candidates(num_layers, num_roles, max_segments):
+    """Every slicing the planner considers, in its enumeration order.
+
+    One ``(bounds, roles)`` pair per segment count: ``bounds[k]`` holds
+    candidate ``k``'s segment boundaries (``0``, the cuts, then
+    ``num_layers``) and ``roles[k]`` its role index per segment; no two
+    consecutive segments share a role.  Cuts of two-segment plans run
+    over every layer boundary; three-segment plans cut on a coarse grid
+    (as the original's heuristic pruning does), the first cut outermost.
+    """
+    def sequences(length):
+        # Nested-loop order, first segment's role outermost.
+        return np.array([
+            roles for roles in itertools.product(range(num_roles),
+                                                 repeat=length)
+            if all(a != b for a, b in zip(roles, roles[1:]))
+        ], dtype=int).reshape(-1, length)
+
+    def combine(cuts, count):
+        # Cuts outermost, role sequences innermost.
+        roles = sequences(count)
+        bounds = np.array([(0, *cut, num_layers) for cut in cuts],
+                          dtype=int).reshape(len(cuts), count + 1)
+        return (np.repeat(bounds, len(roles), axis=0),
+                np.tile(roles, (len(cuts), 1)))
+
+    passes = [combine([()], 1)]
+    if max_segments >= 2:
+        passes.append(combine([(split,) for split in range(1, num_layers)],
+                              2))
+    if max_segments >= 3 and num_roles >= 2:
+        grid = range(2, num_layers - 1, max(1, num_layers // 16))
+        passes.append(combine([(i, j) for i in grid for j in grid if j > i],
+                              3))
+    return [(bounds, roles) for bounds, roles in passes if len(roles)]
+
+
+def best_slicing(prefix_ms, busy_mw, base_mw, max_segments=3):
+    """The predicted-best slicing, each segment count priced in one pass.
+
+    ``prefix_ms[r, point]`` is role ``r``'s predicted latency of layers
+    ``0:point`` and ``busy_mw[r]`` its busy power.  A plan's predicted
+    latency is its segments' times plus a hand-off between consecutive
+    segments, added in segment order; its energy is each segment's busy
+    energy plus platform power over the whole latency.  Returns the
+    first plan, in :func:`_candidates` order, with the least
+    ``(latency, energy)`` (throughput first, ties broken on energy), as
+    ``(start, stop, role_index)`` segments.
+    """
+    num_roles, num_points = prefix_ms.shape
+    best, best_rank = None, None
+    for bounds, roles in _candidates(num_points - 1, num_roles,
+                                     max_segments):
+        for k in range(roles.shape[1]):
+            role = roles[:, k]
+            ms = (prefix_ms[role, bounds[:, k + 1]]
+                  - prefix_ms[role, bounds[:, k]])
+            mj = busy_mw[role] * ms / 1000.0
+            if k == 0:
+                latency_ms, energy_mj = ms, mj
+            else:
+                latency_ms = latency_ms + _HOP_MS + ms
+                energy_mj = energy_mj + mj
+        energy_mj = energy_mj + base_mw * latency_ms / 1000.0
+        fastest = np.flatnonzero(latency_ms == latency_ms.min())
+        index = fastest[np.argmin(energy_mj[fastest])]
+        rank = (latency_ms[index], energy_mj[index])
+        if best_rank is None or rank < best_rank:
+            best_rank = rank
+            best = [(int(bounds[index, k]), int(bounds[index, k + 1]),
+                     int(roles[index, k])) for k in range(roles.shape[1])]
+    return best
 
 
 class MosaicScheduler(Scheduler):
@@ -100,7 +177,7 @@ class MosaicScheduler(Scheduler):
         return roles, costs, powers
 
     def _plan(self, environment, use_case):
-        """Enumerate slicings (<= max_segments) minimizing predicted energy.
+        """The predicted-best slicing (<= max_segments segments).
 
         Returns a list of ``(num_layers, ExecutionTarget)`` segments.
         """
@@ -109,66 +186,17 @@ class MosaicScheduler(Scheduler):
         roles, layer_ms, busy_mw = self._role_costs(environment, network)
         if not roles:
             raise ConfigError(f"no feasible processor for {use_case.name}")
-        num_layers = len(network.layers)
-        base_mw = device.soc.platform_idle_mw
-        prefix = {
-            role: np.concatenate([[0.0], np.cumsum(layer_ms[role])])
+        prefix_ms = np.array([
+            np.concatenate([[0.0], np.cumsum(layer_ms[role])])
             for role in roles
-        }
-
-        def segment_cost(role, start, stop):
-            ms = prefix[role][stop] - prefix[role][start]
-            return ms, busy_mw[role] * ms / 1000.0
-
-        best_plan, best_rank = None, None
-
-        def consider(plan):
-            nonlocal best_plan, best_rank
-            latency_ms, energy_mj = 0.0, 0.0
-            previous = None
-            for start, stop, role in plan:
-                ms, mj = segment_cost(role, start, stop)
-                if previous is not None and previous != role:
-                    latency_ms += _HOP_MS
-                latency_ms += ms
-                energy_mj += mj
-                previous = role
-            energy_mj += base_mw * latency_ms / 1000.0
-            # Throughput-first: minimize predicted latency, then energy.
-            rank = (latency_ms, energy_mj)
-            if best_rank is None or rank < best_rank:
-                best_plan, best_rank = plan, rank
-
-        # One segment.
-        for role in roles:
-            consider([(0, num_layers, role)])
-        # Two segments.
-        if self.max_segments >= 2:
-            for split in range(1, num_layers):
-                for first in roles:
-                    for second in roles:
-                        if first == second:
-                            continue
-                        consider([(0, split, first),
-                                  (split, num_layers, second)])
-        # Three segments (coarse grid keeps planning cheap, as the
-        # original's heuristic pruning does).
-        if self.max_segments >= 3 and len(roles) >= 2:
-            grid = range(2, num_layers - 1, max(1, num_layers // 16))
-            for i in grid:
-                for j in grid:
-                    if j <= i:
-                        continue
-                    for a in roles:
-                        for b in roles:
-                            for c in roles:
-                                if a == b or b == c:
-                                    continue
-                                consider([(0, i, a), (i, j, b),
-                                          (j, num_layers, c)])
-
+        ])
+        slicing = best_slicing(
+            prefix_ms, np.array([busy_mw[role] for role in roles]),
+            device.soc.platform_idle_mw, self.max_segments,
+        )
         segments = []
-        for start, stop, role in best_plan:
+        for start, stop, role_index in slicing:
+            role = roles[role_index]
             proc = device.soc.processor(role)
             precision = self._precisions[(network.name, role)]
             segments.append((

@@ -14,9 +14,10 @@ see ``repro.analysis`` and ``docs/static_analysis.md``):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "SimulationError",
     "UnknownKeyError",
     "Stopwatch",
+    "slot_init",
     "make_rng",
     "mj_to_joules",
     "ms_to_seconds",
@@ -34,6 +36,8 @@ __all__ = [
     "ppw_from_energy",
     "clamp",
 ]
+
+_INF = float("inf")
 
 #: Everything accepted as a seed by :func:`make_rng`.
 SeedLike = Union[None, int, np.random.Generator]
@@ -63,6 +67,71 @@ class UnknownKeyError(ConfigError, KeyError):
         # KeyError.__str__ repr()s its argument, which would wrap our
         # messages in quotes; report them like every other ReproError.
         return Exception.__str__(self)
+
+
+class _Factory:
+    """The default of a field built by its ``default_factory``."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def slot_init(cls):
+    """Give a frozen, slotted dataclass a cheaper ``__init__``.
+
+    The dataclass-generated ``__init__`` of a frozen class stores each
+    field with one ``object.__setattr__(self, name, value)`` call.  The
+    one built here stores each field through the class's slot member
+    descriptor (``cls.<field>.__set__``), then calls the class's
+    ``__post_init__`` when it has one.  Its signature (field order,
+    defaults, default factories) is the dataclass's; freezing, slots,
+    ``eq``/``repr``/``hash``, pickling, copying and
+    ``dataclasses.replace`` are the dataclass's too.  Apply it above
+    ``@dataclass(frozen=True, slots=True)``.
+    """
+    params = getattr(cls, "__dataclass_params__", None)
+    if (params is None or not params.frozen
+            or "__slots__" not in cls.__dict__):
+        raise ConfigError(
+            f"{cls.__name__} is not a frozen, slotted dataclass")
+    fields = dataclasses.fields(cls)
+    if len(fields) != len(cls.__dataclass_fields__) or any(
+            not field.init or field.kw_only for field in fields):
+        raise ConfigError(
+            f"{cls.__name__}: slot_init supports plain positional fields "
+            "only (no InitVar, ClassVar, init=False or kw_only)")
+    namespace: Dict[str, Any] = {"_FACTORY": _FACTORY}
+    signature, body = [], []
+    for field in fields:
+        name = field.name
+        value = name
+        if field.default is not dataclasses.MISSING:
+            namespace[f"_default_{name}"] = field.default
+            signature.append(f"{name}=_default_{name}")
+        elif field.default_factory is not dataclasses.MISSING:
+            namespace[f"_factory_{name}"] = field.default_factory
+            signature.append(f"{name}=_FACTORY")
+            value = f"_factory_{name}() if {name} is _FACTORY else {name}"
+        else:
+            signature.append(name)
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        body.append(f"    _set_{name}(self, {value})\n")
+    post_init = getattr(cls, "__post_init__", None)
+    if post_init is not None:
+        namespace["_post_init"] = post_init
+        body.append("    _post_init(self)\n")
+    exec("def __init__(self, " + ", ".join(signature) + "):\n"
+         + ("".join(body) or "    pass\n"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -136,7 +205,7 @@ class Stopwatch:
 
     def advance(self, delta_ms: float) -> float:
         """Move the clock forward; negative deltas are rejected."""
-        if delta_ms < 0 or not math.isfinite(delta_ms):
+        if not 0.0 <= delta_ms < _INF:  # NaN fails it too
             raise ConfigError(f"cannot advance clock by {delta_ms} ms")
         self.now_ms += delta_ms
         return self.now_ms

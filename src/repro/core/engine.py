@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common import ConfigError, make_rng
+from repro.common import ConfigError, make_rng, slot_init
 from repro.core.convergence import ConvergenceDetector
 from repro.core.qlearning import QLearningConfig, QTable
 from repro.core.reward import RewardConfig, compute_reward
@@ -36,6 +36,7 @@ __all__ = ["AutoScaleStep", "BoundedHistory", "OverheadStats",
            "StreamingSeries", "AutoScale"]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class AutoScaleStep:
     """Everything produced by one observe-select-execute-update cycle.
@@ -475,11 +476,9 @@ class AutoScale:
                 self.convergence.observe(reward, executed_action=action)
         self._update_append((time.perf_counter() - started) * 1e6)
 
-        record = AutoScaleStep(
-            state=state, action=action, target_key=target.key,
-            reward=reward, result=result, explored=explored,
-            q_delta=q_delta,
-        )
+        # Positional, in field order: this runs once per inference.
+        record = AutoScaleStep(state, action, target.key, reward, result,
+                               explored, q_delta)
         self._history_append(record)
         return record
 

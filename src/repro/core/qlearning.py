@@ -128,8 +128,12 @@ class QTable:
 
     def best_value(self, state):
         """max_a Q(state, a)."""
-        # ndarray.max is this reduction behind a Python-level wrapper.
-        return float(np.maximum.reduce(self.values[state]))
+        # The value at the first argmax: the row's maximum, as
+        # ``np.maximum.reduce`` returns it (a NaN included, since argmax
+        # stops at the first NaN), without the ufunc reduction's
+        # per-call set-up, which costs more than the 66-entry scan.
+        row = self.values[state]
+        return float(row[row.argmax()])
 
     def value(self, state, action):
         return float(self.values[state, action])

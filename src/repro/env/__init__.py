@@ -5,7 +5,7 @@ from repro.env.environment import EdgeCloudEnvironment
 from repro.env.executor import (
     NoiseConfig,
     partitioned_execution,
-    pipelined_local_execution,
+    pipelined_plan,
 )
 from repro.env.observation import Observation
 from repro.env.presets import PRESET_BUILDERS, build_preset
@@ -41,7 +41,7 @@ __all__ = [
     "build_preset",
     "NoiseConfig",
     "partitioned_execution",
-    "pipelined_local_execution",
+    "pipelined_plan",
     "Observation",
     "QOS_NON_STREAMING_MS",
     "QOS_STREAMING_MS",

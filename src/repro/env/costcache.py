@@ -32,7 +32,7 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from repro.env.executor import (
     _contention_power_factor,
     busy_power_mw,
     local_finisher,
+    pipelined_plan,
     remote_finisher,
 )
 from repro.env.result import ExecutionResult
@@ -236,6 +237,7 @@ class NominalCostEngine:
         self._exact_links: "OrderedDict" = OrderedDict()
         self._layer_terms: Dict[Tuple, np.ndarray] = {}
         self._per_target: Dict[str, list] = {}
+        self._pipelines: Dict[Tuple, Callable] = {}
         space = self._space = environment.action_space
         self._targets = space.targets
         device = environment.device
@@ -435,6 +437,23 @@ class NominalCostEngine:
             self._layer_terms[key] = terms
         return terms
 
+    def pipeline(self, network, segments):
+        """The resolved MOSAIC plan of ``segments`` over ``network``.
+
+        :func:`~repro.env.executor.pipelined_plan` over this engine's
+        term tables, built once per ``(network, plan)``: the returned
+        ``run(load, interference, rng, noise)`` executes the plan.
+        """
+        key = (network.name, *[(count, target.key)
+                                for count, target in segments])
+        run = self._pipelines.get(key)
+        if run is None:
+            env = self._environment
+            run = self._pipelines[key] = pipelined_plan(
+                env.device, network, segments, env.accuracy,
+                self.layer_terms)
+        return run
+
     def local_nominal(self, network, target, observation, constants):
         """``(nominal_ms, slowdown)`` for one local target.
 
@@ -619,6 +638,7 @@ class NominalCostEngine:
             self._exact_links.clear()
             self._layer_terms.clear()
             self._per_target.clear()
+            self._pipelines.clear()
 
     def stats(self):
         """Current :class:`CacheStats` snapshot."""

@@ -29,7 +29,6 @@ from repro.env.executor import (
     NoiseConfig,
     jitter_slots,
     partitioned_execution,
-    pipelined_local_execution,
 )
 from repro.env.observation import Observation
 from repro.env.scenarios import build_scenario
@@ -318,14 +317,17 @@ class EdgeCloudEnvironment:
         # sequential ziggurat draws as k scalar calls.  The exp stays
         # math.exp per element; np.exp may differ from libm in the last
         # bit.
-        draws = iter(
-            self.rng.standard_normal(self._jitter_draws[remote]).tolist()
-        )
+        slots = self._jitter_slots[remote]
+        draws = self.rng.standard_normal(self._jitter_draws[remote]).tolist()
         exp = math.exp
-        result = finish(*args, [
-            exp(sigma * next(draws)) if sigma is not None else 1.0
-            for sigma in self._jitter_slots[remote]
-        ])
+        if len(draws) == len(slots):  # every slot draws (the default)
+            jitters = [exp(sigma * draw)
+                       for sigma, draw in zip(slots, draws)]
+        else:
+            draws = iter(draws)
+            jitters = [exp(sigma * next(draws)) if sigma is not None
+                       else 1.0 for sigma in slots]
+        result = finish(*args, jitters)
         injector = self._fault_injector
         if remote and (injector.active or deadline_ms is not None):
             _, link = self._remote_setup(target)
@@ -400,15 +402,18 @@ class EdgeCloudEnvironment:
 
     def execute_pipelined(self, network, segments, observation=None,
                           deterministic=False):
-        """MOSAIC-style sliced execution across local processors."""
+        """MOSAIC-style sliced execution across local processors.
+
+        The plan's per-plan constants are resolved once per ``(network,
+        segments)`` by the cost engine
+        (:meth:`~repro.env.costcache.NominalCostEngine.pipeline`).
+        """
         if observation is None:
             observation = self.observe()
         rng = None if deterministic else self.rng
-        result = pipelined_local_execution(
-            self.device, network, segments, self._load_from(observation),
-            self.interference, self.accuracy, self._cost_engine.layer_terms,
-            rng=rng, noise=self.noise,
-        )
+        result = self._cost_engine.pipeline(network, segments)(
+            self._load_from(observation), self.interference, rng,
+            self.noise)
         if not deterministic:
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)
         return result

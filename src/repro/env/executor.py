@@ -23,8 +23,10 @@ nominal components plus jitters into an :class:`ExecutionResult`.
 :meth:`EdgeCloudEnvironment.execute` feeds them nominals from the cost
 engine's exact caches; the NeuroSurgeon and MOSAIC executors below time
 their segments by summing row ranges of the same engine's per-layer term
-tables (:meth:`~repro.env.costcache.NominalCostEngine.layer_terms`).
-The layer-walk references live in ``tests/env/layer_walk.py``.
+tables (:meth:`~repro.env.costcache.NominalCostEngine.layer_terms`);
+a MOSAIC plan's per-plan constants are resolved once
+(:func:`pipelined_plan`).  The layer-walk references live in
+``tests/env/layer_walk.py``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ __all__ = [
     "local_finisher",
     "remote_finisher",
     "partitioned_execution",
-    "pipelined_local_execution",
+    "pipelined_plan",
 ]
 
 
@@ -166,18 +168,16 @@ def local_finisher(device, proc, target):
         overhead_mj = platform_mw * latency_ms / 1000.0
         if host_idle_mw is not None:
             overhead_mj = overhead_mj + host_idle_mw * latency_ms / 1000.0
+        # Positional, in field order: this runs once per inference.
         return ExecutionResult(
-            latency_ms=latency_ms,
-            energy_mj=(busy_mj * _contention_power_factor(load)
-                       * pwr_jitter + overhead_mj),
-            estimated_energy_mj=busy_mj + overhead_mj,
-            accuracy_pct=accuracy_pct,
-            target_key=target_key,
-            detail={
-                "compute_ms": latency_ms,
-                "slowdown": slowdown,
-                "busy_mj": busy_mj,
-            },
+            latency_ms,
+            busy_mj * _contention_power_factor(load) * pwr_jitter
+            + overhead_mj,                                # energy_mj
+            busy_mj + overhead_mj,                        # estimated
+            accuracy_pct,
+            target_key,
+            {"compute_ms": latency_ms, "slowdown": slowdown,
+             "busy_mj": busy_mj},
         )
 
     return finish
@@ -224,19 +224,15 @@ def remote_finisher(device, link, target):
                     + tail_mj)
         overhead_mj = (platform_mw * latency_ms / 1000.0
                        + host_idle_mw * latency_ms / 1000.0)
+        # Positional, in field order: this runs once per inference.
         return ExecutionResult(
-            latency_ms=latency_ms,
-            energy_mj=radio_mj * pwr_jitter + overhead_mj,
-            estimated_energy_mj=radio_mj + overhead_mj,
-            accuracy_pct=accuracy_pct,
-            target_key=target_key,
-            detail={
-                "tx_ms": tx_ms,
-                "rx_ms": rx_ms,
-                "rtt_ms": rtt_ms,
-                "remote_ms": remote_ms,
-                "radio_mj": radio_mj,
-            },
+            latency_ms,
+            radio_mj * pwr_jitter + overhead_mj,          # energy_mj
+            radio_mj + overhead_mj,                       # estimated
+            accuracy_pct,
+            target_key,
+            {"tx_ms": tx_ms, "rx_ms": rx_ms, "rtt_ms": rtt_ms,
+             "remote_ms": remote_ms, "radio_mj": radio_mj},
         )
 
     return finish
@@ -345,14 +341,17 @@ _HOP_OVERHEAD_MS = 2.5
 _DRAM_COPY_GBPS = 4.0
 
 
-def pipelined_local_execution(device, network, segments, load,
-                              interference, accuracy_table, terms,
-                              rng=None, noise=NoiseConfig()):
-    """Contiguous layer segments on different *local* processors.
+def pipelined_plan(device, network, segments, accuracy_table, terms):
+    """A MOSAIC plan's per-plan constants, resolved once.
 
     This is the execution model of the MOSAIC baseline: a model is sliced
     into contiguous groups, each mapped to one on-device processor, with a
-    hand-off cost between consecutive segments.
+    hand-off cost between consecutive segments.  Everything that does not
+    depend on the co-runner load or the noise is resolved here: each
+    segment's processor, its rows of the term table, its eq. (1)-(3)
+    busy power and its hand-off cost, plus the plan's minimum accuracy
+    and result key.  The returned ``run(load, interference, rng=None,
+    noise=NoiseConfig())`` executes the plan once.
 
     Args:
         segments: list of ``(num_layers, ExecutionTarget)`` covering the
@@ -369,10 +368,9 @@ def pipelined_local_execution(device, network, segments, load,
             f"segments cover {total_layers} layers, network has "
             f"{len(network.layers)}"
         )
-    latency_ms = 0.0
-    busy_mj = 0.0
-    precisions = []
-    segment_times = []
+    # Per segment: (kind, rows, dispatch_ms, power_mw, handoff_ms,
+    # is_cpu); handoff_ms is None where no hand-off precedes it.
+    plan = []
     cursor = 0
     previous_role = None
     for count, target in segments:
@@ -382,51 +380,68 @@ def pipelined_local_execution(device, network, segments, load,
             raise ConfigError(f"{target} is not local; MOSAIC slices "
                               "within the device")
         proc = device.soc.processor(target.role)
-        slowdown = interference.slowdown(proc.kind, load)
-        segment_ms = (
-            _rows_ms(terms(network, target), cursor, cursor + count,
-                     target.vf_index, proc, slowdown)
-            * _jitter(rng, noise.latency_sigma)
-        )
+        handoff_ms = None
         if previous_role is not None and previous_role != target.role:
             handoff_bytes = network.layers[cursor - 1].output_bytes
-            latency_ms += (_HOP_OVERHEAD_MS
-                           + handoff_bytes / (_DRAM_COPY_GBPS * 1e6))
-        latency_ms += segment_ms
-        busy_mj += _processor_energy(proc, segment_ms, target.vf_index)
-        precisions.append(target.precision)
-        segment_times.append(segment_ms)
+            handoff_ms = (_HOP_OVERHEAD_MS
+                          + handoff_bytes / (_DRAM_COPY_GBPS * 1e6))
+        plan.append((
+            proc.kind,
+            terms(network, target)[cursor:cursor + count, target.vf_index],
+            proc.dispatch_ms,
+            busy_power_mw(proc, target.vf_index),
+            handoff_ms,
+            target.role == "cpu",
+        ))
         previous_role = target.role
         cursor += count
-
-    overhead_mj = platform_energy_mj(device.soc.platform_idle_mw, latency_ms)
-    # The host CPU idles whenever a segment runs elsewhere; charge its
-    # idle power over the non-CPU fraction of the pipeline (consistent
-    # with the whole-model local path).
-    cpu_busy_ms = sum(
-        seg_ms for seg_ms, (_, target) in zip(segment_times, segments)
-        if target.role == "cpu"
-    )
-    overhead_mj += (device.soc.cpu.idle_power_mw
-                    * max(0.0, latency_ms - cpu_busy_ms) / 1000.0)
-    estimate_mj = busy_mj + overhead_mj
-    truth_mj = (
-        busy_mj * _contention_power_factor(load)
-        * _jitter(rng, noise.power_sigma)
-        + overhead_mj
-    )
+    platform_mw = device.soc.platform_idle_mw
+    host_idle_mw = device.soc.cpu.idle_power_mw
     accuracy = min(
-        accuracy_table.lookup(network.name, precision)
-        for precision in precisions
+        accuracy_table.lookup(network.name, target.precision)
+        for _, target in segments
     )
-    description = "+".join(
+    target_key = "mosaic[" + "+".join(
         f"{count}x{target.role}" for count, target in segments
-    )
-    return ExecutionResult(
-        latency_ms=latency_ms,
-        energy_mj=truth_mj,
-        estimated_energy_mj=estimate_mj,
-        accuracy_pct=accuracy,
-        target_key=f"mosaic[{description}]",
-        detail={"busy_mj": busy_mj, "segments": float(len(segments))},
-    )
+    ) + "]"
+    num_segments = float(len(segments))
+
+    def run(load, interference, rng=None, noise=NoiseConfig()):
+        latency_ms = busy_mj = cpu_busy_ms = 0.0
+        for kind, rows, dispatch_ms, power_mw, handoff_ms, is_cpu in plan:
+            slowdown = interference.slowdown(kind, load)
+            if slowdown < 1.0:
+                raise ConfigError(
+                    f"slowdown must be >= 1, got {slowdown}")
+            segment_ms = (float(sum_layer_terms(rows, slowdown,
+                                                dispatch_ms))
+                          * _jitter(rng, noise.latency_sigma))
+            if handoff_ms is not None:
+                latency_ms += handoff_ms
+            latency_ms += segment_ms
+            # The eq. (1)-(3) busy energy of a fully busy segment.
+            busy_mj += power_mw * segment_ms / 1000.0
+            if is_cpu:
+                cpu_busy_ms += segment_ms
+        # The host CPU idles whenever a segment runs elsewhere; charge
+        # its idle power over the non-CPU fraction of the pipeline
+        # (consistent with the whole-model local path).
+        overhead_mj = (platform_mw * latency_ms / 1000.0
+                       + host_idle_mw * max(0.0, latency_ms - cpu_busy_ms)
+                       / 1000.0)
+        truth_mj = (
+            busy_mj * _contention_power_factor(load)
+            * _jitter(rng, noise.power_sigma)
+            + overhead_mj
+        )
+        return ExecutionResult(
+            latency_ms=latency_ms,
+            energy_mj=truth_mj,
+            estimated_energy_mj=busy_mj + overhead_mj,
+            accuracy_pct=accuracy,
+            target_key=target_key,
+            detail={"busy_mj": busy_mj, "segments": num_segments},
+        )
+
+    return run
+

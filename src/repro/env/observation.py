@@ -34,6 +34,12 @@ class Observation:
     now_ms: float = 0.0
 
     def __post_init__(self):
+        # The common valid case in one comparison chain; the named
+        # checks below say which field is out of range.
+        if (0.0 <= self.cpu_util <= 1.0 and 0.0 <= self.mem_util <= 1.0
+                and -120.0 <= self.rssi_wlan_dbm <= -10.0
+                and -120.0 <= self.rssi_p2p_dbm <= -10.0):
+            return
         for name, value in (("cpu_util", self.cpu_util),
                             ("mem_util", self.mem_util)):
             if not 0.0 <= value <= 1.0:

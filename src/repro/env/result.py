@@ -10,13 +10,14 @@ from repro.analysis.contracts import (
     ensure_finite,
     ensure_latency_ms,
 )
-from repro.common import ConfigError, ppw_from_energy
+from repro.common import ConfigError, ppw_from_energy, slot_init
 
 __all__ = ["ExecutionResult"]
 
 _INF = float("inf")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """The measured outcome of one inference execution.

@@ -109,21 +109,24 @@ def evaluate_autoscale(engine, use_case, eval_runs=30, oracle=None,
         scheduler="autoscale", use_case=use_case.name,
         scenario=env.scenario.name, qos_ms=use_case.qos_ms,
     )
+    network = use_case.network
     for _ in range(eval_runs):
         observation = engine.observe()
+        state = engine.state_of(network, observation)
+        # One greedy selection per inference (a frozen select draws no
+        # RNG): the oracle scores it and the cycle executes it.
+        action, _ = engine.select_action(state)
         matched = None
         if oracle is not None:
-            chosen = engine.predict(use_case.network, observation)
-            optimal = oracle.select(
-                env, use_case, observation,
-                state_key=engine.state_of(use_case.network, observation),
-            )
-            sweep = env.estimate_all(use_case.network, observation)
+            optimal = oracle.select(env, use_case, observation,
+                                    state_key=state)
+            sweep = env.estimate_all(network, observation)
             matched = decision_match(
-                float(sweep.energy_mj[sweep.index_of(chosen)]),
+                float(sweep.energy_mj[sweep.index_of(
+                    engine.action_space.target(action))]),
                 float(sweep.energy_mj[sweep.index_of(optimal)]),
             )
-        step = engine.step(use_case, observation)
+        step = engine.step_with_action(use_case, action, observation)
         stats.record(step.result, matched)
     engine.unfreeze()
     return stats

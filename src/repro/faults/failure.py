@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.analysis.contracts import ensure_energy_mj, ensure_latency_ms
-from repro.common import ConfigError, SimulationError
+from repro.common import ConfigError, SimulationError, slot_init
 from repro.faults.plan import FaultPlan
 
 __all__ = ["FaultKind", "FailedAttempt", "FaultStats", "FaultInjector",
@@ -41,6 +41,7 @@ class FaultKind(enum.Enum):
     TIMEOUT = "timeout"            # aborted by the deadline policy
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FailedAttempt:
     """The bill for a remote attempt that produced no result.

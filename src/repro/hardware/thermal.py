@@ -42,10 +42,15 @@ class ThermalModel:
 
     def frequency_cap(self, inference_util, corunner_util):
         """Effective-frequency fraction in (0, 1] under combined load."""
-        for name, util in (("inference", inference_util),
-                           ("corunner", corunner_util)):
-            if not 0.0 <= util <= 1.0:
-                raise ConfigError(f"{name} utilization outside [0, 1]: {util}")
+        # The common valid case in one comparison chain; the named
+        # checks say which utilization is out of range.
+        if not (0.0 <= inference_util <= 1.0
+                and 0.0 <= corunner_util <= 1.0):
+            for name, util in (("inference", inference_util),
+                               ("corunner", corunner_util)):
+                if not 0.0 <= util <= 1.0:
+                    raise ConfigError(
+                        f"{name} utilization outside [0, 1]: {util}")
         combined = inference_util + corunner_util
         if combined <= self.threshold:
             return 1.0

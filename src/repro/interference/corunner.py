@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
-from repro.common import ConfigError, clamp
+from repro.common import ConfigError
 
 __all__ = [
     "CoRunnerLoad",
@@ -45,6 +45,10 @@ class CoRunnerLoad:
     mem_util: float = 0.0
 
     def __post_init__(self):
+        # The common valid case in one comparison chain; the named
+        # checks below say which field is out of range.
+        if 0.0 <= self.cpu_util <= 1.0 and 0.0 <= self.mem_util <= 1.0:
+            return
         for name, value in (("cpu_util", self.cpu_util),
                             ("mem_util", self.mem_util)):
             if not 0.0 <= value <= 1.0:
@@ -106,8 +110,12 @@ class TraceCoRunner:
     def sample(self, rng, now_ms=0.0):
         cpu, mem = self._phase_at(now_ms)
         if self.jitter:
-            cpu = clamp(cpu + rng.normal(0.0, self.jitter), 0.0, 1.0)
-            mem = clamp(mem + rng.normal(0.0, self.jitter), 0.0, 1.0)
+            # Both jitters in one draw: ``jitter * z`` of the same two
+            # sequential draws two ``rng.normal(0.0, jitter)`` calls
+            # make, clamped to [0, 1] as ``repro.common.clamp`` does.
+            cpu_z, mem_z = rng.standard_normal(2).tolist()
+            cpu = max(0.0, min(1.0, cpu + self.jitter * cpu_z))
+            mem = max(0.0, min(1.0, mem + self.jitter * mem_z))
         return CoRunnerLoad(cpu_util=cpu, mem_util=mem)
 
 

@@ -45,9 +45,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.analysis.contracts import ensure_duration_ms
-from repro.common import ConfigError
+from repro.common import ConfigError, slot_init
 from repro.env.target import combine_masks
-from repro.guard import GuardConfig, GuardStage, PolicyGuard
+from repro.guard import GuardStage
 from repro.serving.arrivals import Arrival
 from repro.serving.brownout import (
     BrownoutConfig,
@@ -116,6 +116,7 @@ class ServingConfig:
         return cls(brownout=BrownoutConfig.disabled())
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ServedRequest:
     """One arrival's final outcome as the pipeline saw it.
@@ -178,8 +179,7 @@ class ServingPipeline:
         # The policy guard lives on the service (it outlives any single
         # pipeline); the pipeline hosts its GUARD_TICK loop and reads
         # the stage back at decision time.
-        self.guard = (getattr(service, "guard", None)
-                      or PolicyGuard(GuardConfig.disabled()))
+        self.guard = service.guard
         self._guard_handle = None
         # The per-serve floor and decision memos and their tag.
         self._floors, self._decisions, self._memo_tag = {}, {}, None

@@ -26,7 +26,7 @@ from typing import Dict
 import numpy as np
 
 from repro.analysis.contracts import ensure_duration_ms
-from repro.common import ConfigError
+from repro.common import ConfigError, slot_init
 
 __all__ = [
     "ShedReason",
@@ -47,6 +47,7 @@ class ShedReason(enum.Enum):
     INFEASIBLE = "infeasible"    # no allowed target can finish in time
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SheddedRequest:
     """The outcome of a request the pipeline declined to execute.

@@ -59,6 +59,19 @@ class TestQTable:
         assert table.visits[0, 1] == 1
         assert table.update_count == 1
 
+    @pytest.mark.parametrize("dtype", ("float16", "float32", "float64"))
+    def test_best_value_is_the_row_maximum(self, dtype):
+        """``best_value`` equals the ``np.maximum.reduce`` of the row it
+        replaced, on random rows, rows with tied maxima and a NaN row."""
+        table = QTable(64, 66, QLearningConfig(dtype=dtype), seed=3)
+        table.values[1, [4, 40]] = table.values[1].max() + 1.0
+        table.values[2, 7] = np.nan
+        for state in range(64):
+            want = float(np.maximum.reduce(table.values[state]))
+            got = table.best_value(state)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+        assert np.isnan(table.best_value(2))
+
     def test_best_action_is_argmax(self):
         table = QTable(2, 4, seed=0)
         table.values[1] = np.array([-3.0, -1.0, -2.0, -9.0])

@@ -11,7 +11,7 @@ from repro.common import ConfigError, make_rng
 from repro.env.executor import (
     NoiseConfig,
     partitioned_execution,
-    pipelined_local_execution,
+    pipelined_plan,
 )
 from repro.env.target import ExecutionTarget, Location
 from repro.hardware.devices import build_device, cloud_server
@@ -236,40 +236,32 @@ class TestPipelinedExecution:
                               device.soc.cpu.num_vf_steps - 1)
         return [(split, dsp), (len(net.layers) - split, cpu)]
 
+    def _run(self, device, net, segments):
+        return pipelined_plan(device, net, segments, DEFAULT_ACCURACY,
+                              _terms(device))(
+            CoRunnerLoad(), InterferenceModel(thermal=device.soc.thermal))
+
     def test_covers_all_layers_or_rejects(self, zoo, device):
         net = zoo["mobilenet_v3"]
         bad = self._segments(device, net, 10)[:1]
         with pytest.raises(ConfigError):
-            pipelined_local_execution(
-                device, net, bad, CoRunnerLoad(),
-                InterferenceModel(thermal=device.soc.thermal),
-                DEFAULT_ACCURACY, _terms(device),
-            )
+            self._run(device, net, bad)
 
     def test_hop_overhead_charged(self, zoo, device):
         net = zoo["mobilenet_v3"]
-        interference = InterferenceModel(thermal=device.soc.thermal)
-        split = pipelined_local_execution(
-            device, net, self._segments(device, net, 20), CoRunnerLoad(),
-            interference, DEFAULT_ACCURACY, _terms(device),
-        )
-        cpu_only = pipelined_local_execution(
+        split = self._run(device, net, self._segments(device, net, 20))
+        cpu_only = self._run(
             device, net,
             [(len(net.layers),
               ExecutionTarget(Location.LOCAL, "cpu", Precision.INT8,
                               device.soc.cpu.num_vf_steps - 1))],
-            CoRunnerLoad(), interference, DEFAULT_ACCURACY, _terms(device),
         )
         assert split.detail["segments"] == 2.0
         assert cpu_only.detail["segments"] == 1.0
 
     def test_accuracy_is_worst_precision(self, zoo, device):
         net = zoo["mobilenet_v3"]
-        result = pipelined_local_execution(
-            device, net, self._segments(device, net, 20), CoRunnerLoad(),
-            InterferenceModel(thermal=device.soc.thermal),
-            DEFAULT_ACCURACY, _terms(device),
-        )
+        result = self._run(device, net, self._segments(device, net, 20))
         assert result.accuracy_pct == DEFAULT_ACCURACY.lookup(
             "mobilenet_v3", Precision.INT8
         )
@@ -278,11 +270,7 @@ class TestPipelinedExecution:
         net = zoo["mobilenet_v3"]
         cloud = ExecutionTarget(Location.CLOUD, "gpu", Precision.FP32)
         with pytest.raises(ConfigError):
-            pipelined_local_execution(
-                device, net, [(len(net.layers), cloud)], CoRunnerLoad(),
-                InterferenceModel(thermal=device.soc.thermal),
-                DEFAULT_ACCURACY, _terms(device),
-            )
+            self._run(device, net, [(len(net.layers), cloud)])
 
 
 class TestNoiseConfig:

@@ -32,9 +32,13 @@ def _scalar_execute(env, network, target, observation):
     return result
 
 
+#: ``default`` draws every slot (``execute``'s zip branch); the others
+#: leave some or all slots undrawn (its skip-the-``None`` branch): both
+#: local and remote slots partial, remote slots only, or none drawn.
 _NOISES = {
     "default": NoiseConfig(),
     "some_zero": NoiseConfig(latency_sigma=0.0, server_sigma=0.0),
+    "remote_zero_only": NoiseConfig(network_sigma=0.0),
     "all_zero": NoiseConfig(latency_sigma=0.0, power_sigma=0.0,
                             server_sigma=0.0, network_sigma=0.0),
 }
@@ -73,3 +77,9 @@ def test_all_zero_sigmas_draw_nothing():
         result = env.execute(network, target, Observation())
         assert result == env.estimate(network, target, Observation())
     assert env.rng.bit_generator.state == before
+
+
+def test_default_noise_draws_every_slot():
+    """The default noise has no zero sigma: every slot draws."""
+    for is_remote in (False, True):
+        assert None not in jitter_slots(NoiseConfig(), is_remote)

@@ -116,3 +116,35 @@ def test_mosaic_plans_match_walk(zoo, device_name):
         assert env.rng.bit_generator.state == rng.bit_generator.state
     # The plans exercise hand-offs, not only single-engine runs.
     assert max(segment_counts) >= 2
+
+
+@pytest.mark.parametrize("device_name", DEVICES)
+def test_mosaic_repeats_match_walk_under_varying_load(zoo, device_name):
+    """Each plan's constants are resolved once and reused: repeated
+    runs under a dynamic co-runner (a new load every inference) still
+    match the walk, seeded and noise-free, and reuse one resolved plan."""
+    env = EdgeCloudEnvironment(build_device(device_name), scenario="D2",
+                               seed=9)
+    cases = use_cases_for_zoo(zoo)[:4]
+    scheduler = MosaicScheduler()
+    scheduler.train(env, cases, rng=make_rng(0))
+    for case in cases:
+        segments = scheduler.select(env, case, None)
+        run = env.cost_engine.pipeline(case.network, segments)
+        for _ in range(3):
+            observation = env.observe()
+            load = env._load_from(observation)
+            reference = pipelined_execution(
+                env.device, case.network, segments, load, env.interference,
+                env.accuracy, noise=env.noise)
+            _assert_same(env.execute_pipelined(
+                case.network, segments, observation, deterministic=True),
+                reference)
+            rng = _reference_rng(env)
+            reference = pipelined_execution(
+                env.device, case.network, segments, load, env.interference,
+                env.accuracy, rng=rng, noise=env.noise)
+            _assert_same(env.execute_pipelined(case.network, segments,
+                                               observation), reference)
+            assert env.rng.bit_generator.state == rng.bit_generator.state
+        assert env.cost_engine.pipeline(case.network, list(segments)) is run

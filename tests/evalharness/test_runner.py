@@ -8,6 +8,7 @@ from repro.common import ConfigError
 from repro.core.engine import AutoScale
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
+from repro.evalharness.metrics import EpisodeStats, decision_match
 from repro.evalharness.runner import (
     RunConfig,
     adapt_engine,
@@ -63,6 +64,58 @@ class TestAdaptAndEvaluate:
         assert 0.0 <= stats.prediction_accuracy_pct <= 100.0
         # After evaluation the engine is back in training mode.
         assert engine.training
+
+    @pytest.mark.parametrize("with_oracle", (False, True))
+    def test_evaluation_run_selects_once(self, zoo, with_oracle):
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S2",
+                                   seed=0)
+        engine = AutoScale(env, seed=0)
+        case = use_case_for(zoo["mobilenet_v3"])
+        adapt_engine(engine, case, max_runs=60)
+        before = engine.overhead.select_us.count
+        evaluate_autoscale(engine, case, eval_runs=1,
+                           oracle=OptOracle() if with_oracle else None)
+        assert engine.overhead.select_us.count == before + 1
+
+    def test_evaluation_matches_predict_then_step(self, zoo):
+        """Executing the one selection equals the former predict-then-
+        ``step`` loop (which selected twice): same steps, same scores,
+        same RNG streams."""
+        case = use_case_for(zoo["inception_v1"])
+
+        def trained():
+            env = EdgeCloudEnvironment(build_device("mi8pro"),
+                                       scenario="D2", seed=3)
+            engine = AutoScale(env, seed=3)
+            adapt_engine(engine, case, max_runs=80)
+            return engine
+
+        engine = trained()
+        stats = evaluate_autoscale(engine, case, eval_runs=25,
+                                   oracle=OptOracle())
+        reference = trained()
+        env, oracle = reference.environment, OptOracle()
+        reference.freeze()
+        want = EpisodeStats(scheduler="autoscale", use_case=case.name,
+                            scenario=env.scenario.name, qos_ms=case.qos_ms)
+        for _ in range(25):
+            observation = reference.observe()
+            chosen = reference.predict(case.network, observation)
+            optimal = oracle.select(
+                env, case, observation,
+                state_key=reference.state_of(case.network, observation))
+            sweep = env.estimate_all(case.network, observation)
+            matched = decision_match(
+                float(sweep.energy_mj[sweep.index_of(chosen)]),
+                float(sweep.energy_mj[sweep.index_of(optimal)]))
+            want.record(reference.step(case, observation).result, matched)
+        reference.unfreeze()
+        assert stats == want
+        assert engine.history == reference.history
+        assert engine.rng.bit_generator.state \
+            == reference.rng.bit_generator.state
+        assert engine.environment.rng.bit_generator.state \
+            == env.rng.bit_generator.state
 
     def test_evaluate_scheduler(self, env, mobilenet_case):
         stats = evaluate_scheduler(env, EdgeCpuFp32(), mobilenet_case,

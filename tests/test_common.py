@@ -102,6 +102,19 @@ class TestStopwatch:
         with pytest.raises(ConfigError):
             Stopwatch().advance(math.nan)
 
+    @pytest.mark.parametrize("delta_ms", (math.inf, -math.inf, -1e-300))
+    def test_non_finite_or_negative_advance_rejected(self, delta_ms):
+        clock = Stopwatch(5.0)
+        with pytest.raises(ConfigError,
+                           match=f"cannot advance clock by {delta_ms} ms"):
+            clock.advance(delta_ms)
+        assert clock.now_ms == 5.0
+
+    @pytest.mark.parametrize("delta_ms", (0.0, -0.0, 5e-324, 1e300))
+    def test_zero_and_finite_advances_accepted(self, delta_ms):
+        clock = Stopwatch(5.0)
+        assert clock.advance(delta_ms) == 5.0 + delta_ms
+
     def test_reset(self):
         clock = Stopwatch()
         clock.advance(100.0)
