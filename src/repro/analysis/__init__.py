@@ -13,12 +13,14 @@ simulator's fidelity rests on from silently rotting.
   whole-program pass over the project import/call graph enforcing RL101
   cross-module unit propagation, RL102 determinism taint into the
   simulation core, RL103 virtual-clock write funnels, and RL104 the
-  architecture layer contracts — ratcheted against a committed baseline
-  and reportable as text, JSON, or SARIF.
+  architecture layer contracts, reportable as text, JSON, or SARIF.
 - **contracts** (:mod:`~repro.analysis.contracts`): runtime validators for
   the physical invariants behind equations (1)-(4) — non-negative power,
   positive latency, bounded utilization and RSSI, finite Q-values —
   active by default under pytest.
+
+reprolint and flow are each one gate over the whole tree: there is no
+allowlist or baseline, so any finding fails the run.
 
 Only the contracts are re-exported here: runtime modules import them, so
 ``import repro.analysis`` must not load the linter.  Import the linter's

@@ -3,11 +3,9 @@
 Run as ``python -m repro.analysis src/repro`` or via the ``repro-lint``
 console script.  ``--flow`` switches from the per-file rules
 (RL001-RL006) to the whole-program flow analysis (RL101-RL104), which
-reports in text, JSON, or SARIF and ratchets against a committed
-baseline.  Exit status 0 means the tree is clean outside the committed
-allowlist/baseline (with no stale entries); 1 means live violations or
-stale entries; 2 means the run itself was misconfigured (bad path,
-unreadable allowlist, unknown rule id).
+reports in text, JSON, or SARIF.  Nothing suppresses a finding.  Exit
+status 0 means the tree is clean; 1 means violations; 2 means the run
+itself was misconfigured (bad path, unknown rule id, unknown flag).
 """
 
 from __future__ import annotations
@@ -42,27 +40,12 @@ def _build_parser():
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--allowlist", default=None, metavar="FILE",
-        help="alternate allowlist file (default: the committed one)",
-    )
-    parser.add_argument(
-        "--no-allowlist", action="store_true",
-        help="report grandfathered findings too",
-    )
-    parser.add_argument(
         "--select", default=None, metavar="RULES",
         help="comma-separated rule ids to run (e.g. RL001,RL004)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--allow-stale", action="store_true",
-        help=(
-            "do not fail on stale allowlist/baseline entries (for "
-            "spot-linting a subtree, where most entries match nothing)"
-        ),
     )
     flow = parser.add_argument_group(
         "flow analysis",
@@ -79,22 +62,6 @@ def _build_parser():
     flow.add_argument(
         "--output", default=None, metavar="FILE",
         help="write the flow report to FILE instead of stdout",
-    )
-    flow.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="alternate flow baseline file (default: the committed one)",
-    )
-    flow.add_argument(
-        "--no-baseline", action="store_true",
-        help="report baselined flow findings too",
-    )
-    flow.add_argument(
-        "--write-baseline", action="store_true",
-        help=(
-            "rewrite the baseline file from the current findings and "
-            "exit; every generated line needs a justification before "
-            "committing"
-        ),
     )
     return parser
 
@@ -133,37 +100,20 @@ def _emit(text, output):
 
 def _flow_main(options):
     from repro.analysis.flow import analyze_paths
-    from repro.analysis.flow.baseline import (
-        DEFAULT_BASELINE_PATH,
-        format_baseline,
-    )
     from repro.analysis.flow.report import to_json, to_sarif
 
-    baseline = False if options.no_baseline else options.baseline
-    if options.write_baseline:
-        baseline = False  # the new baseline covers *all* live findings
     try:
         rule_ids = _parse_select(options.select, _FLOW_RULE_IDS, "flow")
-        report = analyze_paths(options.paths, baseline=baseline,
-                               rule_ids=rule_ids)
+        report = analyze_paths(options.paths, rule_ids=rule_ids)
     except ReproError as error:
         print(f"repro-lint: {error}", file=sys.stderr)
         return 2
-    if options.write_baseline:
-        target = Path(options.baseline) if options.baseline \
-            else DEFAULT_BASELINE_PATH
-        target.write_text(format_baseline(report.violations))
-        print(f"repro-lint: wrote {len(report.violations)} finding(s) to "
-              f"{target}; justify every entry before committing")
-        return 0
     if options.fmt == "json":
         _emit(to_json(report), options.output)
     elif options.fmt == "sarif":
         _emit(to_sarif(report), options.output)
     else:
         _emit(report.format() + "\n", options.output)
-    if options.allow_stale:
-        return 0 if not report.violations else 1
     return 0 if report.ok else 1
 
 
@@ -172,25 +122,19 @@ def main(argv=None):
     options = parser.parse_args(argv)
     if options.list_rules:
         return _list_rules()
-    if not options.flow and (options.fmt != "text" or options.output
-                             or options.no_baseline or options.baseline
-                             or options.write_baseline):
-        print("repro-lint: --format/--output/--baseline/--no-baseline/"
-              "--write-baseline require --flow", file=sys.stderr)
+    if not options.flow and (options.fmt != "text" or options.output):
+        print("repro-lint: --format/--output require --flow",
+              file=sys.stderr)
         return 2
     if options.flow:
         return _flow_main(options)
-    allowlist = False if options.no_allowlist else options.allowlist
     try:
         rule_ids = _parse_select(options.select, RULES, "per-file")
-        report = lint_paths(options.paths, allowlist=allowlist,
-                            rule_ids=rule_ids)
+        report = lint_paths(options.paths, rule_ids=rule_ids)
     except ReproError as error:
         print(f"repro-lint: {error}", file=sys.stderr)
         return 2
     print(report.format())
-    if options.allow_stale:
-        return 0 if not report.violations else 1
     return 0 if report.ok else 1
 
 

@@ -14,7 +14,9 @@ and runs four flow-sensitive rule families over it:
   nondeterminism sources (``time.time``, ``datetime.now``, un-funneled
   ``random``/``np.random``, ``os.urandom``, set iteration, threading)
   into the simulation core (``env``/``core``/``serving``/``faults``),
-  machine-checking the training-loop bit-parity contract.
+  machine-checking the training-loop bit-parity contract.  The
+  ``perf_counter`` reads named in ``APPROVED_WALL_CLOCK_READS`` are the
+  one exemption.
 - **RL103 clock-write funnels** — only the approved funnel methods may
   advance, rewind, or assign the virtual clock; every other mutation
   site is flagged.
@@ -22,20 +24,13 @@ and runs four flow-sensitive rule families over it:
   ``docs/architecture.md``; reject upward module-scope imports,
   same-layer sibling imports, and new import cycles.
 
-Findings are gated by a ratcheting baseline
-(``src/repro/analysis/flow_baseline.txt``): new violations fail the
-run, pre-existing justified ones are tracked and burned down, and stale
-entries fail the run too so the baseline cannot rot.  Run it with
-``python -m repro.analysis --flow`` (``--format json|sarif`` for
-machine-readable reports).
+There is nothing to suppress a finding with: any finding fails the run.
+Run it with ``python -m repro.analysis --flow`` (``--format json|sarif``
+for machine-readable reports).
 """
 
-from repro.analysis.flow.baseline import (
-    DEFAULT_BASELINE_PATH,
-    FlowBaseline,
-    load_baseline,
-)
 from repro.analysis.flow.clockrule import APPROVED_CLOCK_FUNNELS
+from repro.analysis.flow.determinism import APPROVED_WALL_CLOCK_READS
 from repro.analysis.flow.engine import FlowReport, analyze_paths, analyze_project
 from repro.analysis.flow.layers import PACKAGE_LAYERS
 from repro.analysis.flow.project import Project
@@ -43,14 +38,12 @@ from repro.analysis.flow.report import to_json, to_sarif
 
 __all__ = [
     "APPROVED_CLOCK_FUNNELS",
-    "DEFAULT_BASELINE_PATH",
-    "FlowBaseline",
+    "APPROVED_WALL_CLOCK_READS",
     "FlowReport",
     "PACKAGE_LAYERS",
     "Project",
     "analyze_paths",
     "analyze_project",
-    "load_baseline",
     "to_json",
     "to_sarif",
 ]

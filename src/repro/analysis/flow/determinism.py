@@ -18,6 +18,10 @@ the callee's own finding.
 ``repro.common.make_rng`` is the sanctioned RNG funnel; ``np.random``
 references inside ``repro/common.py`` are therefore not sources (same
 carve-out as RL002), and neither are ``Generator`` type references.
+
+The one wall-clock exemption is :data:`APPROVED_WALL_CLOCK_READS`: the
+engine's decision-overhead timers (the paper's Section VI-C measurement)
+read ``time.perf_counter`` and never feed simulation state.
 """
 
 from __future__ import annotations
@@ -28,12 +32,27 @@ from typing import Dict, Iterator, List, Set, Tuple
 from repro.analysis.flow.project import FunctionInfo, Project
 from repro.analysis.violations import Violation
 
-__all__ = ["PROTECTED_PACKAGES", "check_determinism"]
+__all__ = ["APPROVED_WALL_CLOCK_READS", "PROTECTED_PACKAGES",
+           "check_determinism"]
 
 #: Packages whose functions must stay deterministic under a fixed seed.
 PROTECTED_PACKAGES = (
     "repro.env", "repro.core", "repro.serving", "repro.faults",
 )
+
+#: module -> qualnames whose ``time.perf_counter`` read is exempt (the
+#: same shape as RL103's ``APPROVED_CLOCK_FUNNELS``).  These time the
+#: scheduler's own decision latency; any other source in the same
+#: function still fires.  The table only shrinks.
+APPROVED_WALL_CLOCK_READS: Dict[str, frozenset] = {
+    "repro.core.engine": frozenset({
+        "AutoScale.select_action",
+        "AutoScale._cycle",
+    }),
+}
+
+#: The one source an approved function may read.
+_APPROVED_READ = "time.perf_counter"
 
 #: Exact dotted chains that read wall-clock time or entropy.
 _EXACT_SOURCES = frozenset({
@@ -145,7 +164,11 @@ def check_determinism(project: Project) -> List[Violation]:
     callers: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
     for function in project.functions.values():
         in_common = function.module in ("repro.common", "common")
-        found = next(iter(_sources_in(project, function, in_common)),
+        approved = function.qualname in APPROVED_WALL_CLOCK_READS.get(
+            function.module, ())
+        found = next((source for source in
+                      _sources_in(project, function, in_common)
+                      if not (approved and source[0] == _APPROVED_READ)),
                      None)
         if found is not None:
             direct[function.key] = found

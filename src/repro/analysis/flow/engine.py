@@ -1,10 +1,9 @@
 """The flow-analysis orchestrator.
 
 ``analyze_paths`` is the CLI's entry point: load the tree into a
-:class:`~repro.analysis.flow.project.Project`, run the four rule
-families, and split the findings against the ratchet baseline.  The CI
-gate condition is :attr:`FlowReport.ok` — no new violations *and* no
-stale baseline entries.
+:class:`~repro.analysis.flow.project.Project` and run the four rule
+families over it.  The CI gate condition is :attr:`FlowReport.ok` — no
+findings at all.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.analysis.flow.baseline import FlowBaseline, load_baseline
 from repro.analysis.flow.clockrule import check_clock_writes
 from repro.analysis.flow.determinism import check_determinism
 from repro.analysis.flow.layers import check_layers
@@ -34,28 +32,22 @@ _FAMILIES = (
 class FlowReport:
     """The outcome of one flow-analysis run.
 
-    ``violations`` are new findings (not in the baseline);
-    ``suppressed`` are baselined ones; ``stale_entries`` are baseline
-    lines whose finding no longer exists.  The gate passes only when
-    both ``violations`` and ``stale_entries`` are empty — the ratchet
-    tightens in both directions.
+    ``violations`` are every finding; the gate passes only when there
+    are none.
     """
 
     violations: Tuple[Violation, ...] = ()
-    suppressed: Tuple[Violation, ...] = ()
-    stale_entries: Tuple[Tuple[str, str, str], ...] = ()
     modules_checked: int = 0
-    baseline_source: str = "<none>"
     rule_ids: Tuple[str, ...] = field(
         default_factory=lambda: tuple(rule for rule, _ in _FAMILIES)
     )
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.stale_entries
+        return not self.violations
 
     def counts(self) -> Dict[str, int]:
-        """Live-violation count per rule family (zeros included)."""
+        """Violation count per rule family (zeros included)."""
         tally = {rule: 0 for rule in self.rule_ids}
         for violation in self.violations:
             tally[violation.rule] = tally.get(violation.rule, 0) + 1
@@ -63,70 +55,38 @@ class FlowReport:
 
     def format(self) -> str:
         lines = [violation.format() for violation in self.violations]
-        for rule, module, name in self.stale_entries:
-            lines.append(
-                f"{self.baseline_source}: stale baseline entry "
-                f"'{rule} {module} {name}' — the finding is gone; "
-                f"delete the line"
-            )
         per_rule = ", ".join(
             f"{rule}={count}" for rule, count in sorted(
                 self.counts().items())
         )
         lines.append(
-            f"reprolint-flow: {len(self.violations)} new violation(s) "
-            f"[{per_rule}], {len(self.suppressed)} baselined "
-            f"({self.baseline_source}), {len(self.stale_entries)} stale "
-            f"baseline entr(y/ies), {self.modules_checked} module(s) "
-            f"analyzed"
+            f"reprolint-flow: {len(self.violations)} violation(s) "
+            f"[{per_rule}], {self.modules_checked} module(s) analyzed"
         )
         return "\n".join(lines)
 
 
-def analyze_project(project: Project, baseline=None,
-                    rule_ids=None) -> FlowReport:
+def analyze_project(project: Project, rule_ids=None) -> FlowReport:
     """Run the selected rule families (default: all) over a project."""
-    if baseline is None:
-        baseline = FlowBaseline()
     selected = tuple(
         (rule, check) for rule, check in _FAMILIES
         if rule_ids is None or rule in rule_ids
     )
-    live: List[Violation] = []
-    suppressed: List[Violation] = []
+    violations: List[Violation] = []
     for _, check in selected:
-        for violation in check(project):
-            if baseline.matches(violation):
-                suppressed.append(violation)
-            else:
-                live.append(violation)
-    stale = baseline.stale_entries(live + suppressed)
-    # Entries for rules outside this run's selection are not stale —
-    # the evidence simply was not gathered.
-    selected_ids = {rule for rule, _ in selected}
-    stale = [entry for entry in stale if entry[0] in selected_ids]
+        violations.extend(check(project))
     return FlowReport(
-        violations=tuple(sorted(live)),
-        suppressed=tuple(sorted(suppressed)),
-        stale_entries=tuple(stale),
+        violations=tuple(sorted(violations)),
         modules_checked=len(project.modules),
-        baseline_source=baseline.source,
         rule_ids=tuple(rule for rule, _ in selected),
     )
 
 
-def analyze_paths(paths, baseline=None, rule_ids=None) -> FlowReport:
+def analyze_paths(paths, rule_ids=None) -> FlowReport:
     """Load a source tree and analyze it.
 
     Args:
         paths: files or directories (the CLI default is ``src/repro``).
-        baseline: a :class:`FlowBaseline`, a path to one, ``None`` for
-            the committed default, or ``False`` for no baseline.
         rule_ids: optional subset of ``RL101``..``RL104``.
     """
-    if baseline is False:
-        baseline = FlowBaseline(source="<disabled>")
-    elif not isinstance(baseline, FlowBaseline):
-        baseline = load_baseline(baseline)
-    project = Project.load(paths)
-    return analyze_project(project, baseline=baseline, rule_ids=rule_ids)
+    return analyze_project(Project.load(paths), rule_ids=rule_ids)

@@ -1,10 +1,8 @@
 """Serialization of flow reports: JSON and SARIF 2.1.0.
 
-The SARIF output targets code-scanning UIs (one ``result`` per live
+The SARIF output targets code-scanning UIs (one ``result`` per
 finding, rule metadata in the driver block); the JSON output is the
-engine's own shape for scripting.  Both render *new* violations —
-baselined findings appear in the ``suppressed``/``suppressions``
-sections so dashboards can watch the debt burn down.
+engine's own shape for scripting.
 """
 
 from __future__ import annotations
@@ -38,13 +36,8 @@ def to_json(report) -> str:
     payload = {
         "ok": report.ok,
         "modules_checked": report.modules_checked,
-        "baseline": report.baseline_source,
         "counts": report.counts(),
         "violations": [_violation_dict(v) for v in report.violations],
-        "suppressed": [_violation_dict(v) for v in report.suppressed],
-        "stale_baseline_entries": [
-            list(entry) for entry in report.stale_entries
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -61,8 +54,8 @@ def to_sarif(report) -> str:
         for rule_id, description in sorted(_RULE_DESCRIPTIONS.items())
     ]
 
-    def result(violation, suppressed: bool) -> Dict:
-        entry = {
+    def result(violation) -> Dict:
+        return {
             "ruleId": violation.rule,
             "level": "error",
             "message": {"text": violation.message},
@@ -85,15 +78,8 @@ def to_sarif(report) -> str:
                 )),
             },
         }
-        if suppressed:
-            entry["suppressions"] = [{
-                "kind": "external",
-                "justification": f"baselined in {report.baseline_source}",
-            }]
-        return entry
 
-    results = [result(v, False) for v in report.violations]
-    results.extend(result(v, True) for v in report.suppressed)
+    results = [result(v) for v in report.violations]
     sarif = {
         "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
                     "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),

@@ -63,6 +63,17 @@ BANNED_RAISES = frozenset({
 })
 
 
+#: Tokens that mark a name as dimensionless: a ratio of two like
+#: quantities (``min_freq_ratio``) or a relative spread
+#: (``latency_sigma`` is a multiplicative noise std).  RL001 passes any
+#: name carrying one.
+DIMENSIONLESS_TOKENS = frozenset({"ratio", "sigma"})
+
+#: Exact names that are dimensionless despite a quantity word: the
+#: Q-learning step size is persisted under this name in snapshots.
+DIMENSIONLESS_NAMES = frozenset({"learning_rate"})
+
+
 def _tokens(name: str) -> List[str]:
     return [token for token in name.lower().split("_") if token]
 
@@ -70,6 +81,8 @@ def _tokens(name: str) -> List[str]:
 def _quantity_gaps(name: str) -> List[Tuple[str, str]]:
     """Return ``(quantity, expected_unit)`` pairs the name fails to carry."""
     token_set = set(_tokens(name))
+    if name in DIMENSIONLESS_NAMES or token_set & DIMENSIONLESS_TOKENS:
+        return []
     gaps = []
     for quantity, unit in QUANTITY_UNITS.items():
         if quantity in token_set and unit not in token_set:
@@ -161,8 +174,9 @@ def check_unit_suffixes(tree, path):
             rule="RL001", name=name,
             message=(
                 f"unit-suffix discipline: {name!r} names a physical "
-                f"quantity but carries no unit ({wanted}); rename it or "
-                f"allowlist it if it is genuinely dimensionless"
+                f"quantity but carries no unit ({wanted}); add the "
+                f"unit, or a '_ratio'/'_sigma' token if it is "
+                f"dimensionless"
             ),
         )
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Tuple
 
-from repro.analysis.allowlist import Allowlist, load_allowlist
 from repro.analysis.rules import run_rules
 from repro.analysis.violations import Violation
 from repro.common import ConfigError
@@ -21,38 +20,23 @@ _SKIPPED_DIRS = frozenset({"__pycache__", ".git", "build", "dist"})
 
 @dataclass(frozen=True)
 class LintReport:
-    """The outcome of one lint run.
+    """The outcome of one lint run: every finding, and the file count.
 
-    ``violations`` are the live findings; ``suppressed`` are findings an
-    allowlist entry grandfathered; ``unused_entries`` are allowlist lines
-    that matched nothing (stale — the suppressed name was fixed or
-    removed, so the line must be deleted).  ``ok`` is the CI gate
-    condition and requires both lists empty: the allowlist only shrinks.
+    ``ok`` is the CI gate condition — no findings at all.
     """
 
     violations: Tuple[Violation, ...] = ()
-    suppressed: Tuple[Violation, ...] = ()
-    unused_entries: Tuple[Tuple[str, str], ...] = ()
     files_checked: int = 0
-    allowlist_source: str = "<none>"
 
     @property
     def ok(self):
-        return not self.violations and not self.unused_entries
+        return not self.violations
 
     def format(self):
         lines = [violation.format() for violation in self.violations]
-        for rule, identifier in self.unused_entries:
-            lines.append(
-                f"{self.allowlist_source}: stale allowlist entry "
-                f"'{rule} {identifier}' — no finding matches it; delete "
-                f"the line"
-            )
         lines.append(
             f"reprolint: {len(self.violations)} violation(s), "
-            f"{len(self.suppressed)} suppressed by allowlist "
-            f"({self.allowlist_source}), {len(self.unused_entries)} stale "
-            f"allowlist entr(y/ies), {self.files_checked} file(s) checked"
+            f"{self.files_checked} file(s) checked"
         )
         return "\n".join(lines)
 
@@ -98,41 +82,17 @@ def lint_file(path, rule_ids=None):
                        rule_ids=rule_ids)
 
 
-def lint_paths(paths, allowlist=None, rule_ids=None):
-    """Lint a tree and split findings by the allowlist.
+def lint_paths(paths, rule_ids=None):
+    """Lint a tree.
 
     Args:
         paths: files or directories to walk.
-        allowlist: an :class:`Allowlist`, a path to one, ``None`` for the
-            committed default, or ``False`` to lint with no allowlist.
         rule_ids: optional subset of rule ids to run.
     """
-    if allowlist is False:
-        allowlist = Allowlist(source="<disabled>")
-    elif not isinstance(allowlist, Allowlist):
-        allowlist = load_allowlist(allowlist)
-    live: List[Violation] = []
-    suppressed: List[Violation] = []
+    violations: List[Violation] = []
     files_checked = 0
     for path in iter_python_files(paths):
         files_checked += 1
-        for violation in lint_file(path, rule_ids=rule_ids):
-            if allowlist.allows(violation):
-                suppressed.append(violation)
-            else:
-                live.append(violation)
-    used = {(violation.rule, violation.name) for violation in suppressed}
-    unused = [entry for entry in sorted(allowlist.entries)
-              if entry not in used]
-    if rule_ids is not None:
-        # A subset run gathered no evidence about the other rules'
-        # entries, so only entries for selected rules can be stale.
-        selected = set(rule_ids)
-        unused = [entry for entry in unused if entry[0] in selected]
-    return LintReport(
-        violations=tuple(sorted(live)),
-        suppressed=tuple(sorted(suppressed)),
-        unused_entries=tuple(unused),
-        files_checked=files_checked,
-        allowlist_source=allowlist.source,
-    )
+        violations.extend(lint_file(path, rule_ids=rule_ids))
+    return LintReport(violations=tuple(sorted(violations)),
+                      files_checked=files_checked)

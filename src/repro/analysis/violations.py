@@ -17,7 +17,7 @@ class Violation:
         rule: rule identifier (``RL001`` .. ``RL006``, ``RL000`` for
             files that fail to parse).
         name: the offending identifier, when the rule is about a name;
-            empty otherwise.  Allowlist entries match on this field.
+            empty otherwise.
         message: human-readable explanation with the fix direction.
     """
 

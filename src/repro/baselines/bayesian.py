@@ -116,8 +116,8 @@ class BayesianOptScheduler(Scheduler):
         self.iterations = iterations
         self.seed = seed
         self._scaler = None
-        self._energy_gp = None
-        self._latency_gp = None
+        self._log_energy_mj_gp = None
+        self._log_latency_ms_gp = None
 
     def train(self, environment, use_cases, rng=None):
         """Run the BO campaign and fit the final surrogates.
@@ -172,18 +172,20 @@ class BayesianOptScheduler(Scheduler):
                 latencies.append(np.log(result.latency_ms))
         self._scaler = Standardizer()
         design = self._scaler.fit_transform(np.array(rows))
-        self._energy_gp = GaussianProcess().fit(design, np.array(energies))
-        self._latency_gp = GaussianProcess().fit(design, np.array(latencies))
+        self._log_energy_mj_gp = GaussianProcess().fit(
+            design, np.array(energies))
+        self._log_latency_ms_gp = GaussianProcess().fit(
+            design, np.array(latencies))
 
     def predict_energy_latency(self, use_case, observation, targets,
                                environment=None):
         """(energy mJ, latency ms) surrogate predictions for targets."""
-        if self._energy_gp is None:
+        if self._log_energy_mj_gp is None:
             raise ConfigError("bo scheduler not trained")
         design = self._scaler.transform(encode_pairs(
             use_case.network, observation, targets, environment))
-        return (np.exp(self._energy_gp.predict(design)),
-                np.exp(self._latency_gp.predict(design)))
+        return (np.exp(self._log_energy_mj_gp.predict(design)),
+                np.exp(self._log_latency_ms_gp.predict(design)))
 
     def select(self, environment, use_case, observation):
         targets = [

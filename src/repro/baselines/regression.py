@@ -121,8 +121,8 @@ class RegressionScheduler(Scheduler):
         self._factory = model_factory
         self.name = name
         self._scaler = None
-        self._energy_model = None
-        self._latency_model = None
+        self._log_energy_mj_model = None
+        self._log_latency_ms_model = None
 
     def train(self, environment, use_cases, rng=None,
               samples_per_case=40, dataset=None):
@@ -141,10 +141,10 @@ class RegressionScheduler(Scheduler):
             dataset = _concat_datasets(datasets)
         self._scaler = Standardizer()
         design = self._scaler.fit_transform(dataset.features)
-        self._energy_model = self._factory().fit(
+        self._log_energy_mj_model = self._factory().fit(
             design, np.log(dataset.energy_mj)
         )
-        self._latency_model = self._factory().fit(
+        self._log_latency_ms_model = self._factory().fit(
             design, np.log(dataset.latency_ms)
         )
         return dataset
@@ -152,17 +152,17 @@ class RegressionScheduler(Scheduler):
     def predict_energy_latency(self, use_case, observation, targets,
                                environment=None):
         """(energy mJ, latency ms) predictions for candidate targets."""
-        if self._energy_model is None:
+        if self._log_energy_mj_model is None:
             raise ConfigError(f"{self.name} not trained")
         rows = encode_pairs(use_case.network, observation, targets,
                             environment)
         design = self._scaler.transform(rows)
         # Clip log-space predictions: linear extrapolation far outside
         # the training distribution must saturate, not overflow.
-        energy_mj = np.exp(np.clip(self._energy_model.predict(design),
-                                   -20.0, 20.0))
-        latency_ms = np.exp(np.clip(self._latency_model.predict(design),
-                                    -20.0, 20.0))
+        energy_mj = np.exp(np.clip(
+            self._log_energy_mj_model.predict(design), -20.0, 20.0))
+        latency_ms = np.exp(np.clip(
+            self._log_latency_ms_model.predict(design), -20.0, 20.0))
         return energy_mj, latency_ms
 
     def select(self, environment, use_case, observation):

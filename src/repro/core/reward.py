@@ -107,18 +107,19 @@ def compute_reward(result, use_case, config=RewardConfig(),
 
     if energy_mj is None:
         energy_mj = result.estimated_energy_mj
+    # ``e_term``/``l_term`` are eq. 5's R_energy and R_latency.
     if config.normalize:
         # Both physical terms share the energy reference, so their
         # *ratio* matches the paper's raw joules/seconds form exactly
         # (the whole reward is the raw one scaled by 1000/ref).
-        energy_term = energy_mj / config.energy_ref_mj
-        latency_term = result.latency_ms / config.energy_ref_mj
+        e_term = energy_mj / config.energy_ref_mj
+        l_term = result.latency_ms / config.energy_ref_mj
     else:
-        energy_term = energy_mj / 1000.0           # joules
-        latency_term = result.latency_ms / 1000.0  # seconds
+        e_term = energy_mj / 1000.0          # joules
+        l_term = result.latency_ms / 1000.0  # seconds
     accuracy_term = accuracy / 100.0
 
-    reward = -energy_term + config.beta * accuracy_term
+    reward = -e_term + config.beta * accuracy_term
     if use_case.meets_qos(result.latency_ms):
-        reward += config.alpha * latency_term
+        reward += config.alpha * l_term
     return reward

@@ -47,7 +47,7 @@ from repro.env.executor import (
 from repro.env.result import ExecutionResult
 from repro.env.target import ActionSpace, Location
 from repro.hardware.processor import sum_layer_terms
-from repro.interference.corunner import ConstantCoRunner, CoRunnerLoad
+from repro.interference.corunner import ConstantCoRunner
 from repro.wireless.signal import ConstantSignal
 
 __all__ = ["CacheStats", "NominalSweep", "NominalCostEngine"]
@@ -546,8 +546,6 @@ class NominalCostEngine:
         env = self._environment
         table = self._table_for(network)
         count = len(self._targets)
-        load = CoRunnerLoad(cpu_util=observation.cpu_util,
-                            mem_util=observation.mem_util)
         interference = env.interference
         latency_ms = np.zeros(count)
         energy_mj = np.zeros(count)
@@ -555,7 +553,7 @@ class NominalCostEngine:
 
         local = self._local_indices
         if local.size:
-            slowdown_by_kind = [interference.slowdown(kind, load)
+            slowdown_by_kind = [interference.slowdown(kind, observation)
                                 for kind in self._kinds]
             for (target, dispatch_ms, kind_code, indices,
                  vf_indices) in self._local_groups:
@@ -570,11 +568,11 @@ class NominalCostEngine:
                 + self._idle_overhead_power_mw[local]
                 * local_latency_ms / 1000.0
             )
-            contention = _contention_power_factor(load)
+            contention = _contention_power_factor(observation)
             estimated_energy_mj[local] = busy_mj + overhead_mj
             energy_mj[local] = busy_mj * contention + overhead_mj
 
-        tx_slow = interference.transmission_slowdown(load)
+        tx_slow = interference.transmission_slowdown(observation)
         for indices, link, rssi_dbm in (
             (self._cloud_indices, env.wifi, observation.rssi_wlan_dbm),
             (self._connected_indices, env.p2p, observation.rssi_p2p_dbm),

@@ -281,12 +281,6 @@ class EdgeCloudEnvironment:
                 if target.location is Location.CLOUD
                 else observation.rssi_p2p_dbm)
 
-    def _load_from(self, observation):
-        # Re-pack the observation into a CoRunnerLoad-compatible shape.
-        from repro.interference.corunner import CoRunnerLoad
-        return CoRunnerLoad(cpu_util=observation.cpu_util,
-                            mem_util=observation.mem_util)
-
     def execute(self, network, target, observation=None, deadline_ms=None):
         """Run one inference and advance virtual time.
 
@@ -393,7 +387,7 @@ class EdgeCloudEnvironment:
         result = partitioned_execution(
             self.device, remote, network, split_point, local_target,
             remote_target, link, self._rssi_for(remote_target, observation),
-            self._load_from(observation), self.interference, self.accuracy,
+            observation, self.interference, self.accuracy,
             self._cost_engine.layer_terms, rng=rng, noise=self.noise,
         )
         if not deterministic:
@@ -412,7 +406,7 @@ class EdgeCloudEnvironment:
             observation = self.observe()
         rng = None if deterministic else self.rng
         result = self._cost_engine.pipeline(network, segments)(
-            self._load_from(observation), self.interference, rng,
+            observation, self.interference, rng,
             self.noise)
         if not deterministic:
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)

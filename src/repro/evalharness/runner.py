@@ -57,7 +57,7 @@ class RunConfig:
 
     def adapt_budget(self, scenario):
         """Adaptation runs for a scenario (scaled up when dynamic)."""
-        if getattr(scenario, "dynamic", False):
+        if scenario.dynamic:
             return int(self.adapt_runs * self.dynamic_adapt_scale)
         return self.adapt_runs
 

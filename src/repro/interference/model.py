@@ -69,7 +69,9 @@ class InterferenceModel:
 
         Args:
             kind: the :class:`ProcessorKind` running the inference.
-            load: a :class:`~repro.interference.corunner.CoRunnerLoad`.
+            load: a :class:`~repro.interference.corunner.CoRunnerLoad`,
+                or an ``Observation`` (only ``cpu_util``/``mem_util`` are
+                read).
         """
         mem_factor = 1.0 + self.mem_penalty[kind] * load.mem_util
         if kind is ProcessorKind.CPU:

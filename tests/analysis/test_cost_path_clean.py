@@ -3,10 +3,9 @@
 The modules every inference's cost and records pass through — the
 record types and their ``slot_init``, the executors and cost engine,
 observations, co-runner and thermal models, state encoding and the
-MOSAIC planner — are linted with the allowlist and the flow baseline
-*disabled*, matching the ``flow-lint`` CI steps of the same name: a new
-finding in any of them fails at once instead of joining the
-grandfathered debt.
+MOSAIC planner — are linted on their own, so a finding in any of them
+is reported against this list as well as the whole-tree gate. Neither
+linter has an allowlist or a baseline, so every finding fails.
 """
 
 from pathlib import Path
@@ -28,13 +27,11 @@ COST_PATH = [
 
 
 def test_cost_path_passes_reprolint_without_allowlist():
-    report = lint_paths(COST_PATH, allowlist=False)
+    report = lint_paths(COST_PATH)
     assert report.files_checked == 10
     assert report.ok, "\n" + report.format()
-    assert not report.suppressed
 
 
 def test_cost_path_carries_no_flow_debt():
-    report = analyze_paths([SRC / "env" / "executor.py", *COST_PATH],
-                           baseline=False)
+    report = analyze_paths([SRC / "env" / "executor.py", *COST_PATH])
     assert not report.violations, "\n" + report.format()

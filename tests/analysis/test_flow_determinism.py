@@ -1,7 +1,12 @@
 """Tests for RL102 — determinism taint into the simulation core."""
 
-from repro.analysis.flow import Project
+import ast
+from pathlib import Path
+
+from repro.analysis.flow import APPROVED_WALL_CLOCK_READS, Project
 from repro.analysis.flow.determinism import check_determinism
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def _violations(sources):
@@ -121,3 +126,57 @@ class TestTransitiveTaint:
                 "    return make_rng(seed).random()\n"
             ),
         }) == []
+
+
+def _engine(method, source="time.perf_counter"):
+    return {"repro.core.engine": (
+        "import time\n"
+        "class AutoScale:\n"
+        f"    def {method}(self):\n"
+        f"        return {source}()\n"
+    )}
+
+
+class TestApprovedWallClockReads:
+    def test_approved_perf_counter_reads_are_clean(self):
+        assert _names(_engine("select_action")) == []
+        assert _names(_engine("_cycle")) == []
+
+    def test_perf_counter_in_another_core_function_fires(self):
+        assert _names(_engine("observe_state")) == [
+            "AutoScale.observe_state:time.perf_counter"
+        ]
+
+    def test_same_qualname_in_another_module_fires(self):
+        names = _names({"repro.core.service": (
+            "import time\n"
+            "class AutoScale:\n"
+            "    def select_action(self):\n"
+            "        return time.perf_counter()\n"
+        )})
+        assert names == ["AutoScale.select_action:time.perf_counter"]
+
+    def test_other_clock_in_an_approved_function_fires(self):
+        assert _names(_engine("select_action", "time.time")) == [
+            "AutoScale.select_action:time.time"
+        ]
+
+    def test_table_names_only_the_engine_overhead_timers(self):
+        assert set(APPROVED_WALL_CLOCK_READS) <= {"repro.core.engine"}
+        assert APPROVED_WALL_CLOCK_READS.get(
+            "repro.core.engine", frozenset()
+        ) <= {"AutoScale.select_action", "AutoScale._cycle"}
+
+    def test_every_entry_matches_a_live_read(self):
+        """A stale entry must be deleted: the table only shrinks."""
+        project = Project.load([SRC])
+        for module, qualnames in APPROVED_WALL_CLOCK_READS.items():
+            for qualname in qualnames:
+                function = project.functions[(module, qualname)]
+                assert any(
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "perf_counter"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "time"
+                    for node in ast.walk(function.node)
+                ), f"{module}.{qualname} reads no time.perf_counter"

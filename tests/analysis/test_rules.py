@@ -51,9 +51,40 @@ class TestRL001UnitSuffixes:
                      "frequency_mhz", "rssi_dbm", "rate_mbps"):
             assert not rules_hit(f"{name} = 1.0\n", "RL001"), name
 
-    def test_violation_carries_name_for_allowlisting(self):
+    def test_violation_carries_the_offending_name(self):
         violations = lint_source("chosen_energy = 1.0\n", path="x.py")
         assert violations[0].name == "chosen_energy"
+
+    @pytest.mark.parametrize("name", [
+        "data_rate", "latency", "tx_power", "energy_term", "_energy_model",
+        "learning_rate_decay",
+    ])
+    def test_quantity_names_without_a_unit_fire(self, name):
+        assert rules_hit(f"{name} = 1.0\n", "RL001")
+
+    @pytest.mark.parametrize("name", [
+        "min_freq_ratio", "power_ratio", "latency_sigma", "power_sigma",
+        "learning_rate",
+    ])
+    def test_dimensionless_names_pass(self, name):
+        assert not rules_hit(f"{name} = 1.0\n", "RL001")
+
+    def test_fires_in_every_package(self):
+        snippet = (
+            "class Link:\n"
+            "    def __init__(self):\n"
+            "        self._energy_model = None\n"
+        )
+        violations = lint_source(snippet,
+                                 path="src/repro/wireless/planted.py")
+        assert [(v.rule, v.name) for v in violations] == [
+            ("RL001", "_energy_model")
+        ]
+
+    def test_message_names_the_fix(self):
+        (violation,) = lint_source("latency = 1.0\n", path="x.py")
+        assert "'_ms'" in violation.message
+        assert "allowlist" not in violation.message
 
 
 class TestRL002RngDiscipline:

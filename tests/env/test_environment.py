@@ -224,6 +224,6 @@ class TestEndPointSplits:
                 env.device, env.cloud, network,
                 len(network.layers) if at_end else 0, local, remote,
                 env.wifi, observation.rssi_wlan_dbm,
-                env._load_from(observation), env.interference,
+                observation, env.interference,
                 env.accuracy, env.cost_engine.layer_terms,
             )

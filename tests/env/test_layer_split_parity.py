@@ -17,6 +17,7 @@ from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_cases_for_zoo
 from repro.env.target import ExecutionTarget, Location
 from repro.hardware.devices import build_device
+from repro.interference.corunner import CoRunnerLoad
 from repro.models.quantization import Precision
 from tests.env.layer_walk import pipelined_execution, split_execution
 
@@ -52,6 +53,13 @@ def _split_pairs(env):
     return pairs
 
 
+def _corunner_load(observation):
+    # The references get a CoRunnerLoad; the environment passes the
+    # Observation itself, which carries the same two fields.
+    return CoRunnerLoad(cpu_util=observation.cpu_util,
+                        mem_util=observation.mem_util)
+
+
 def _reference_rng(env):
     rng = np.random.default_rng()
     rng.bit_generator.state = env.rng.bit_generator.state
@@ -62,7 +70,7 @@ def _reference_rng(env):
 def test_execute_split_matches_walk_at_every_point(zoo, device_name):
     env = _environment(device_name)
     observation = env.observe()
-    load = env._load_from(observation)
+    load = _corunner_load(observation)
     checked = 0
     for network in zoo.values():
         for local, remote in _split_pairs(env):
@@ -96,7 +104,7 @@ def test_mosaic_plans_match_walk(zoo, device_name):
     scheduler = MosaicScheduler()
     scheduler.train(env, cases, rng=make_rng(0))
     observation = env.observe()
-    load = env._load_from(observation)
+    load = _corunner_load(observation)
     segment_counts = set()
     for case in cases:
         segments = scheduler.select(env, case, observation)
@@ -133,7 +141,7 @@ def test_mosaic_repeats_match_walk_under_varying_load(zoo, device_name):
         run = env.cost_engine.pipeline(case.network, segments)
         for _ in range(3):
             observation = env.observe()
-            load = env._load_from(observation)
+            load = _corunner_load(observation)
             reference = pipelined_execution(
                 env.device, case.network, segments, load, env.interference,
                 env.accuracy, noise=env.noise)
