@@ -6,7 +6,7 @@ from repro.core.convergence import ConvergenceDetector, episodes_to_converge
 from repro.core.discretize import cluster_edges, dbscan, derive_feature_edges
 from repro.core.engine import AutoScale, AutoScaleStep, OverheadStats
 from repro.core.persistence import load_engine, save_engine
-from repro.core.qlearning import QLearningConfig, QTable, epsilon_greedy
+from repro.core.qlearning import QLearningConfig, QTable
 from repro.core.service import AutoScaleService
 from repro.core.reward import RewardConfig, compute_reward
 from repro.core.state import StateFeature, StateSpace, table_i_state_space
@@ -29,7 +29,6 @@ __all__ = [
     "OverheadStats",
     "QLearningConfig",
     "QTable",
-    "epsilon_greedy",
     "RewardConfig",
     "compute_reward",
     "StateFeature",

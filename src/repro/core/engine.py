@@ -195,20 +195,29 @@ class AutoScale:
         config: Q-learning hyperparameters (paper defaults).
         reward: reward weights/normalization.
         seed: RNG seed for exploration and Q-table initialization.
+        qtable: the value learner; defaults to a :class:`QTable` drawn
+            from the engine's RNG.  Any learner with the methods the
+            cycle calls on ``QTable`` (``best_action``,
+            ``best_visited_action``, a ``(states x actions)`` ``visits``
+            ledger, ``update``, ``memory_bytes``) can be passed, e.g. the
+            Section IV alternatives of :mod:`repro.core.alternatives`;
+            a passed learner draws nothing from the engine's RNG.
     """
 
     def __init__(self, environment, state_space=None, action_space=None,
-                 config=None, reward=None, seed=None):
+                 config=None, reward=None, seed=None, qtable=None):
         self.environment = environment
         self.state_space = state_space or table_i_state_space()
         self.action_space = action_space or environment.action_space
         self.config = config or QLearningConfig()
         self.reward_config = reward or RewardConfig()
         self.rng = make_rng(seed)
-        self.qtable = QTable(
-            self.state_space.size, len(self.action_space),
-            config=self.config, seed=self.rng,
-        )
+        if qtable is None:
+            qtable = QTable(
+                self.state_space.size, len(self.action_space),
+                config=self.config, seed=self.rng,
+            )
+        self.qtable = qtable
         self.overhead = OverheadStats()
         self.convergence = ConvergenceDetector()
         self.training = True
@@ -332,10 +341,9 @@ class AutoScale:
         the layout does not follow that convention (custom spaces), which
         disables the sibling fallback.
         """
-        features = getattr(self.state_space, "features", ())
         size = 1
         seen_variance = False
-        for feature in features:
+        for feature in self.state_space.features:
             is_variance = feature.name.startswith(("s_co_", "s_rssi"))
             if is_variance:
                 seen_variance = True
@@ -378,7 +386,7 @@ class AutoScale:
         """L1 distance between two variance-bin vectors (by offset)."""
         radices = [
             feature.num_bins
-            for feature in getattr(self.state_space, "features", ())
+            for feature in self.state_space.features
             if feature.name.startswith(("s_co_", "s_rssi"))
         ]
         distance = 0

@@ -20,7 +20,7 @@ from repro.analysis.contracts import (
 )
 from repro.common import ConfigError, make_rng
 
-__all__ = ["QLearningConfig", "QTable", "epsilon_greedy"]
+__all__ = ["QLearningConfig", "QTable"]
 
 
 @dataclass(frozen=True)
@@ -255,11 +255,3 @@ class QTable:
         clone.update_count = self.update_count
         return clone
 
-
-def epsilon_greedy(qtable, state, rng, epsilon=None):
-    """Epsilon-greedy action selection (Algorithm 1's choice rule)."""
-    if epsilon is None:
-        epsilon = qtable.config.epsilon
-    if rng.random() < epsilon:
-        return int(rng.integers(qtable.num_actions))
-    return qtable.best_action(state)

@@ -32,7 +32,7 @@ from repro.core.transfer import transfer_q_table
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
 from repro.env.scenarios import build_scenario
-from repro.evalharness.metrics import EpisodeStats, mape
+from repro.evalharness.metrics import EpisodeStats, decision_match, mape
 from repro.evalharness.reporting import format_kv, format_table
 from repro.evalharness.runner import (
     RunConfig,
@@ -507,7 +507,7 @@ def ablation_states(device_name="mi8pro", network_names=DEFAULT_NETWORKS,
                     optimal_e = float(
                         sweep.energy_mj[sweep.index_of(optimal)]
                     )
-                    matches += int(chosen_e <= optimal_e * 1.01)
+                    matches += int(decision_match(chosen_e, optimal_e))
                     checked += 1
                     env.execute(use_case.network, chosen, observation)
         accuracy = matches / checked * 100.0

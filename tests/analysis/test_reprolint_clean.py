@@ -52,40 +52,3 @@ def test_cli_has_no_suppression_flags(flag):
         main([*flag, str(SRC)])
     assert exit_info.value.code == 2
 
-
-def test_costcache_enters_with_zero_allowlist_entries():
-    """The batched nominal-cost engine passes every rule on its own."""
-    report = lint_paths([SRC / "env" / "costcache.py"])
-    assert report.files_checked == 1
-    assert report.ok, "\n" + report.format()
-
-
-def test_faults_package_enters_with_zero_allowlist_entries():
-    """Every module of the fault-injection/resilience subsystem passes
-    every rule on its own."""
-    report = lint_paths([SRC / "faults"])
-    assert report.files_checked == 5
-    assert report.ok, "\n" + report.format()
-
-
-def test_sim_package_enters_with_zero_allowlist_entries():
-    """Every module of the event kernel passes every rule on its own."""
-    report = lint_paths([SRC / "sim"])
-    assert report.files_checked == 3
-    assert report.ok, "\n" + report.format()
-
-
-def test_serving_package_enters_with_zero_allowlist_entries():
-    """Every module of the overload-robust serving pipeline passes every
-    rule on its own."""
-    report = lint_paths([SRC / "serving"])
-    assert report.files_checked == 6
-    assert report.ok, "\n" + report.format()
-
-
-def test_flow_package_enters_with_zero_allowlist_entries():
-    """The flow analyzer holds itself to its own bar: every module of
-    repro.analysis.flow passes every per-file rule."""
-    report = lint_paths([SRC / "analysis" / "flow"])
-    assert report.files_checked == 8
-    assert report.ok, "\n" + report.format()

@@ -1,9 +1,13 @@
 """Tests for the AutoScale engine (Fig. 8 / Algorithm 1)."""
 
+import numpy as np
 import pytest
 
-from repro.common import ConfigError
+from repro.common import ConfigError, make_rng
+from repro.core.alternatives import LinearQFunction, SarsaTable
 from repro.core.engine import AutoScale
+from repro.core.qlearning import QTable
+from repro.core.state import table_i_state_space
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
 from repro.env.scenarios import build_scenario
@@ -25,6 +29,43 @@ class TestSetup:
 
     def test_training_by_default(self, engine):
         assert engine.training
+
+    def test_default_table_is_drawn_from_the_engine_rng(self, env):
+        engine = AutoScale(env, seed=11)
+        rng = make_rng(11)
+        expected = QTable(3072, 66, seed=rng)
+        np.testing.assert_array_equal(engine.qtable.values, expected.values)
+        assert engine.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_passed_learner_draws_nothing_from_the_engine_rng(self, env):
+        table = SarsaTable(3072, 66, seed=5)
+        engine = AutoScale(env, seed=11, qtable=table)
+        assert engine.qtable is table
+        assert engine.rng.bit_generator.state \
+            == make_rng(11).bit_generator.state
+
+
+class TestPassedLearner:
+    """A learner passed as ``qtable`` runs in the engine's own cycle."""
+
+    def test_sarsa_update_lags_one_cycle(self, env, mobilenet_case):
+        engine = AutoScale(env, seed=3, qtable=SarsaTable(3072, 66, seed=3))
+        first, _ = engine.run(mobilenet_case, 2)
+        assert first.q_delta == 0.0
+        assert engine.qtable.update_count == 1
+        assert engine.qtable.visits[first.state, first.action] == 1
+
+    def test_approximator_trains_and_predicts(self, env, mobilenet_case):
+        learner = LinearQFunction(table_i_state_space(), 66, seed=3)
+        engine = AutoScale(env, seed=3, qtable=learner)
+        steps = engine.run(mobilenet_case, 30)
+        assert learner.update_count == 30
+        state = steps[-1].state
+        engine.freeze()
+        action, explored = engine.select_action(state)
+        assert not explored
+        assert learner.visits[state, action] > 0
+        assert engine.memory_footprint_bytes() == learner.memory_bytes
 
 
 class TestStep:

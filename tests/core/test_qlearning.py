@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.common import ConfigError, make_rng
-from repro.core.qlearning import QLearningConfig, QTable, epsilon_greedy
+from repro.common import ConfigError
+from repro.core.engine import AutoScale
+from repro.core.qlearning import QLearningConfig, QTable
 
 
 class TestConfig:
@@ -115,27 +116,29 @@ class TestQTable:
 
 
 class TestEpsilonGreedy:
-    def test_zero_epsilon_is_greedy(self):
-        table = QTable(2, 4, seed=0)
-        rng = make_rng(0)
+    """Algorithm 1's choice rule, as the engine's one select runs it."""
+
+    @staticmethod
+    def _engine(env, epsilon, seed):
+        return AutoScale(env, config=QLearningConfig(epsilon=epsilon),
+                         seed=seed)
+
+    def test_zero_epsilon_is_greedy(self, env):
+        engine = self._engine(env, 0.0, 0)
         for _ in range(20):
-            assert epsilon_greedy(table, 0, rng, epsilon=0.0) \
-                == table.best_action(0)
+            assert engine.select_action(0) \
+                == (engine.qtable.best_action(0), False)
 
-    def test_one_epsilon_is_uniform(self):
-        table = QTable(1, 8, seed=0)
-        rng = make_rng(1)
-        actions = {epsilon_greedy(table, 0, rng, epsilon=1.0)
-                   for _ in range(400)}
-        assert actions == set(range(8))
+    def test_one_epsilon_is_uniform(self, env):
+        engine = self._engine(env, 1.0, 1)
+        actions = {engine.select_action(0)[0] for _ in range(2000)}
+        assert actions == set(range(len(engine.action_space)))
 
-    def test_exploration_rate_close_to_epsilon(self):
-        table = QTable(1, 10, seed=0)
-        rng = make_rng(2)
-        greedy = table.best_action(0)
+    def test_exploration_rate_close_to_epsilon(self, env):
+        engine = self._engine(env, 0.1, 2)
+        greedy = engine.qtable.best_action(0)
         explored = sum(
-            epsilon_greedy(table, 0, rng, epsilon=0.1) != greedy
-            for _ in range(5000)
+            engine.select_action(0)[0] != greedy for _ in range(5000)
         )
         # ~epsilon * (n-1)/n of choices deviate from the argmax.
         assert 0.05 < explored / 5000 < 0.14
