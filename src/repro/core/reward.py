@@ -86,7 +86,7 @@ def compute_reward(result, use_case, config=RewardConfig(),
 
     Returns the scalar reward.
     """
-    if getattr(result, "failed", False):
+    if result.failed:
         # An injected fault (or a deadline abort) delivered nothing but
         # still burned energy.  Score it strictly below the accuracy-
         # failure branch so a flaky target ranks worse than any target

@@ -286,7 +286,7 @@ class TraceRecorder:
         """Capture a bare :class:`ExecutionResult` (baseline schedulers,
         and the resilient service's degraded-mode fallback)."""
         if status is None:
-            status = "failed" if getattr(result, "failed", False) else "ok"
+            status = "failed" if result.failed else "ok"
         self._append(at_ms, (
             use_case.name, result.target_key, result.latency_ms,
             result.energy_mj, result.estimated_energy_mj,

@@ -8,8 +8,6 @@ measures predictors.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.bayesian import BayesianOptScheduler
 from repro.baselines.classification import knn_scheduler, svm_scheduler
 from repro.baselines.oracle import OptOracle
@@ -26,6 +24,7 @@ from repro.evalharness.metrics import (
     EpisodeStats,
     mape,
     misclassification_ratio,
+    summarize,
 )
 from repro.evalharness.reporting import format_table
 from repro.hardware.devices import build_device
@@ -368,11 +367,9 @@ def fig7_predictors(device_name="mi8pro",
         )
 
     # --- end-to-end PPW + QoS violation ---------------------------------
-    summary = []
-    schedulers = [EdgeCpuFp32(), lr, svr, svm, knn, bo, OptOracle()]
-    baseline_energy_mj = {}
-    for scheduler in schedulers:
-        energies, violations, count = [], 0, 0
+    episodes_by_sched = {}
+    for scheduler in [EdgeCpuFp32(), lr, svr, svm, knn, bo, OptOracle()]:
+        episodes = episodes_by_sched[scheduler.name] = []
         for offset, scenario in enumerate(("S1", "S2", "S4", "S5",
                                            "D3")):
             env = fresh_env(scenario, 60 + offset)
@@ -381,23 +378,12 @@ def fig7_predictors(device_name="mi8pro",
                                      scenario, qos_ms=use_case.qos_ms)
                 for _ in range(max(2, eval_runs // 4)):
                     observation = env.observe()
-                    result = scheduler.execute(env, use_case, observation)
-                    stats.record(result)
-                key = (scenario, use_case.name)
-                if scheduler.name == "edge_cpu_fp32":
-                    baseline_energy_mj[key] = stats.mean_energy_mj
-                energies.append(
-                    baseline_energy_mj[key] / stats.mean_energy_mj
-                )
-                violations += sum(
-                    1 for lat in stats.latencies_ms if lat > use_case.qos_ms
-                )
-                count += stats.num_inferences
-        summary.append({
-            "scheduler": scheduler.name,
-            "ppw_norm": float(np.mean(energies)),
-            "qos_violation_pct": violations / count * 100.0,
-        })
+                    stats.record(scheduler.execute(env, use_case,
+                                                   observation))
+                episodes.append(stats)
+    baseline = episodes_by_sched["edge_cpu_fp32"]
+    summary = [{"scheduler": name, **summarize(episodes, baseline)}
+               for name, episodes in episodes_by_sched.items()]
 
     table = format_table(
         ["scheduler", "PPW vs Edge(CPU)", "QoS violation %"],

@@ -32,13 +32,19 @@ from repro.core.transfer import transfer_q_table
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
 from repro.env.scenarios import build_scenario
-from repro.evalharness.metrics import EpisodeStats, decision_match, mape
+from repro.evalharness.metrics import (
+    EpisodeStats,
+    decision_match,
+    mape,
+    summarize,
+)
 from repro.evalharness.reporting import format_kv, format_table
 from repro.evalharness.runner import (
     RunConfig,
     evaluate_autoscale,
     evaluate_scheduler,
     loo_train_and_evaluate,
+    oracle_energies,
     train_autoscale,
 )
 from repro.hardware.devices import build_device
@@ -81,43 +87,26 @@ def _use_cases(network_names, streaming=False, accuracy_target=None):
 
 
 def _aggregate(stats_by_sched, baseline_name="edge_cpu_fp32"):
-    """Per-scheduler mean normalized PPW and violation over episodes."""
-    episode_keys = {
-        (s.use_case, s.scenario)
-        for s in stats_by_sched[baseline_name]
-    }
-    baseline = {
-        (s.use_case, s.scenario): s.mean_energy_mj
-        for s in stats_by_sched[baseline_name]
-    }
-    summary = []
-    for name, episodes in stats_by_sched.items():
-        ratios, violations, total = [], 0, 0
-        for stats in episodes:
-            key = (stats.use_case, stats.scenario)
-            if key not in episode_keys:
-                continue
-            ratios.append(baseline[key] / stats.mean_energy_mj)
-            violations += sum(1 for lat in stats.latencies_ms
-                              if lat > stats.qos_ms)
-            total += stats.num_inferences
-        summary.append({
-            "scheduler": name,
-            "ppw_norm": float(np.mean(ratios)),
-            "qos_violation_pct": violations / total * 100.0,
-        })
-    return summary
+    """Per-scheduler normalized PPW and violation over every episode."""
+    baseline = stats_by_sched[baseline_name]
+    return [{"scheduler": name, **summarize(episodes, baseline)}
+            for name, episodes in stats_by_sched.items()]
 
 
-def _run_suite(device_name, network_names, scenarios, config,
-               streaming=False, accuracy_target=None, seed=0,
-               include_prior_work=True):
-    """Evaluate baselines + Opt + AutoScale(LOO) on one device."""
+def _run_suite(device_name, network_names, scenarios, config, schedulers,
+               streaming=False, accuracy_target=None, seed=0):
+    """Evaluate ``schedulers`` + AutoScale(LOO) on one device.
+
+    Each scheduler gets a fresh environment and runs every use case in
+    every scenario.  AutoScale's leave-one-out episodes are scored
+    against Opt exactly when ``schedulers`` holds an
+    :class:`OptOracle`: an accuracy target can leave a network with no
+    feasible target, where Opt raises.
+    """
     use_cases = _use_cases(network_names, streaming, accuracy_target)
     stats_by_sched: Dict[str, List[EpisodeStats]] = {}
 
-    # --- baselines and Opt over every scenario --------------------------
-    schedulers = baseline_suite(include_prior_work) + [OptOracle()]
+    # --- the listed schedulers over every scenario ----------------------
     for scheduler in schedulers:
         env = EdgeCloudEnvironment(build_device(device_name),
                                    scenario=scenarios[0], seed=seed)
@@ -134,29 +123,30 @@ def _run_suite(device_name, network_names, scenarios, config,
     # One environment serves every fold: each fold re-arms it (fresh RNG
     # stream, scenario + clock reset) while the exact nominal-component
     # caches stay warm, so folds after the first skip the table builds.
+    oracle = any(isinstance(s, OptOracle) for s in schedulers)
     episodes = []
     loo_env = EdgeCloudEnvironment(build_device(device_name),
                                    scenario=scenarios[0], seed=seed)
     for test_case in use_cases:
         _, per_scenario = loo_train_and_evaluate(
-            loo_env, use_cases, test_case,
-            scenarios=scenarios, config=config, seed=seed,
+            loo_env, use_cases, test_case, scenarios=scenarios,
+            config=config, seed=seed, oracle=oracle,
         )
         episodes.extend(per_scenario.values())
     stats_by_sched["autoscale"] = episodes
     return stats_by_sched
 
 
-def fig9_main_results(device_names=("mi8pro",),
-                      network_names=DEFAULT_NETWORKS,
-                      scenarios=("S1", "S2", "S3", "S4", "S5"),
-                      config=RunConfig(), seed=0):
-    """Fig. 9: normalized PPW + QoS violation, static environments."""
-    per_device = {}
-    for device_name in device_names:
-        stats = _run_suite(device_name, network_names, scenarios, config,
-                           seed=seed)
-        per_device[device_name] = _aggregate(stats)
+def _per_device_table(title, device_names, include_prior_work, **suite):
+    """Figs. 9-10: one summary per device plus the formatted table."""
+    per_device = {
+        device_name: _aggregate(_run_suite(
+            device_name,
+            schedulers=baseline_suite(include_prior_work) + [OptOracle()],
+            **suite,
+        ))
+        for device_name in device_names
+    }
     rows = [
         [device, s["scheduler"], s["ppw_norm"], s["qos_violation_pct"]]
         for device, summary in per_device.items()
@@ -164,9 +154,21 @@ def fig9_main_results(device_names=("mi8pro",),
     ]
     table = format_table(
         ["device", "scheduler", "PPW vs Edge(CPU)", "QoS violation %"],
-        rows, title="Fig. 9 - energy efficiency in static environments",
+        rows, title=title,
     )
     return {"per_device": per_device, "table": table}
+
+
+def fig9_main_results(device_names=("mi8pro",),
+                      network_names=DEFAULT_NETWORKS,
+                      scenarios=("S1", "S2", "S3", "S4", "S5"),
+                      config=RunConfig(), seed=0):
+    """Fig. 9: normalized PPW + QoS violation, static environments."""
+    return _per_device_table(
+        "Fig. 9 - energy efficiency in static environments",
+        device_names, include_prior_work=True, network_names=network_names,
+        scenarios=scenarios, config=config, seed=seed,
+    )
 
 
 def fig10_streaming(device_names=("mi8pro",),
@@ -175,22 +177,12 @@ def fig10_streaming(device_names=("mi8pro",),
                     scenarios=("S1", "S2", "S4"),
                     config=RunConfig(), seed=0):
     """Fig. 10: the streaming (30 FPS) variant of Fig. 9."""
-    per_device = {}
-    for device_name in device_names:
-        stats = _run_suite(device_name, network_names, scenarios, config,
-                           streaming=True, seed=seed,
-                           include_prior_work=False)
-        per_device[device_name] = _aggregate(stats)
-    rows = [
-        [device, s["scheduler"], s["ppw_norm"], s["qos_violation_pct"]]
-        for device, summary in per_device.items()
-        for s in summary
-    ]
-    table = format_table(
-        ["device", "scheduler", "PPW vs Edge(CPU)", "QoS violation %"],
-        rows, title="Fig. 10 - streaming scenario (30 FPS)",
+    return _per_device_table(
+        "Fig. 10 - streaming scenario (30 FPS)",
+        device_names, include_prior_work=False,
+        network_names=network_names,
+        scenarios=scenarios, config=config, streaming=True, seed=seed,
     )
-    return {"per_device": per_device, "table": table}
 
 
 def fig11_dynamic(device_name="mi8pro", network_names=DEFAULT_NETWORKS,
@@ -199,41 +191,24 @@ def fig11_dynamic(device_name="mi8pro", network_names=DEFAULT_NETWORKS,
                   config=RunConfig(), seed=0):
     """Fig. 11: static + dynamic environments, per-scenario breakdown."""
     stats = _run_suite(device_name, network_names, scenarios, config,
-                       seed=seed, include_prior_work=False)
-    # Per-scenario aggregation.
-    baseline = {
-        (s.use_case, s.scenario): s.mean_energy_mj
-        for s in stats["edge_cpu_fp32"]
-    }
+                       baseline_suite(include_prior_work=False)
+                       + [OptOracle()], seed=seed)
+    baseline = stats["edge_cpu_fp32"]
     rows = []
     per_scenario = {}
     for name, episodes in stats.items():
         for scenario in scenarios:
-            ratios, violations, total = [], 0, 0
-            for episode in episodes:
-                if episode.scenario != scenario:
-                    continue
-                key = (episode.use_case, scenario)
-                ratios.append(baseline[key] / episode.mean_energy_mj)
-                violations += sum(1 for lat in episode.latencies_ms
-                                  if lat > episode.qos_ms)
-                total += episode.num_inferences
-            if not ratios:
-                continue
-            entry = {
-                "scheduler": name, "scenario": scenario,
-                "ppw_norm": float(np.mean(ratios)),
-                "qos_violation_pct": violations / total * 100.0,
-            }
+            entry = {"scheduler": name, "scenario": scenario, **summarize(
+                [e for e in episodes if e.scenario == scenario], baseline,
+            )}
             per_scenario.setdefault(scenario, []).append(entry)
             rows.append([scenario, name, entry["ppw_norm"],
                          entry["qos_violation_pct"]])
-    overall = _aggregate(stats)
     table = format_table(
         ["scenario", "scheduler", "PPW vs Edge(CPU)", "QoS violation %"],
         rows, title="Fig. 11 - adaptability to stochastic variance",
     )
-    return {"per_scenario": per_scenario, "overall": overall,
+    return {"per_scenario": per_scenario, "overall": _aggregate(stats),
             "table": table}
 
 
@@ -242,38 +217,20 @@ def fig12_accuracy_targets(device_name="mi8pro",
                                           "resnet_50"),
                            targets=(None, 50.0, 65.0, 70.0),
                            scenarios=("S1",), config=RunConfig(), seed=0):
-    """Fig. 12: AutoScale under different inference-accuracy targets."""
+    """Fig. 12: AutoScale under different inference-accuracy targets.
+
+    Runs without Opt: a strict target can leave a network with no
+    feasible target, where Opt raises.
+    """
     rows = []
     results = {}
-    loo_env = EdgeCloudEnvironment(build_device(device_name),
-                                   scenario=scenarios[0], seed=seed)
     for accuracy_target in targets:
-        use_cases = _use_cases(network_names,
-                               accuracy_target=accuracy_target)
-        baseline = EdgeCpuFp32()
-        env = EdgeCloudEnvironment(build_device(device_name),
-                                   scenario=scenarios[0], seed=seed)
-        ratios, violations, total = [], 0, 0
-        for test_case in use_cases:
-            base_stats = evaluate_scheduler(env, baseline, test_case,
-                                            config.eval_runs, scenarios[0])
-            _, per_scenario = loo_train_and_evaluate(
-                loo_env, use_cases, test_case,
-                scenarios=scenarios, config=config, seed=seed,
-                oracle=False,
-            )
-            for stats in per_scenario.values():
-                ratios.append(base_stats.mean_energy_mj
-                              / stats.mean_energy_mj)
-                violations += sum(1 for lat in stats.latencies_ms
-                                  if lat > stats.qos_ms)
-                total += stats.num_inferences
+        stats = _run_suite(device_name, network_names, scenarios, config,
+                           [EdgeCpuFp32()], accuracy_target=accuracy_target,
+                           seed=seed)
         label = "none" if accuracy_target is None else f"{accuracy_target:g}"
-        entry = {
-            "accuracy_target": label,
-            "ppw_norm": float(np.mean(ratios)),
-            "qos_violation_pct": violations / total * 100.0,
-        }
+        entry = {"accuracy_target": label,
+                 **summarize(stats["autoscale"], stats["edge_cpu_fp32"])}
         results[label] = entry
         rows.append([label, entry["ppw_norm"], entry["qos_violation_pct"]])
     table = format_table(
@@ -283,6 +240,16 @@ def fig12_accuracy_targets(device_name="mi8pro",
     return {"results": results, "table": table}
 
 
+def _location_shares(episodes):
+    """Fraction of decisions per location (the target key's prefix)."""
+    counts = {"local": 0, "cloud": 0, "connected": 0}
+    for stats in episodes:
+        for key, count in stats.decisions.items():
+            counts[key.split("/")[0]] += count
+    total = sum(counts.values())
+    return {location: count / total for location, count in counts.items()}
+
+
 def fig13_decisions(device_names=("mi8pro", "galaxy_s10e", "moto_x_force"),
                     network_names=DEFAULT_NETWORKS,
                     scenarios=("S1", "S4"), config=RunConfig(), seed=0):
@@ -290,38 +257,14 @@ def fig13_decisions(device_names=("mi8pro", "galaxy_s10e", "moto_x_force"),
     per_device = {}
     rows = []
     for device_name in device_names:
-        use_cases = _use_cases(network_names)
-        shares = {"local": 0, "cloud": 0, "connected": 0}
-        opt_shares = {"local": 0, "cloud": 0, "connected": 0}
-        matches, checked = 0, 0
-        loo_env = EdgeCloudEnvironment(build_device(device_name),
-                                       scenario=scenarios[0], seed=seed)
-        for test_case in use_cases:
-            _, per_scenario = loo_train_and_evaluate(
-                loo_env, use_cases, test_case,
-                scenarios=scenarios, config=config, seed=seed,
-            )
-            for stats in per_scenario.values():
-                matches += stats.oracle_matches
-                checked += stats.oracle_checked
-                for key, count in stats.decisions.items():
-                    shares[key.split("/")[0]] += count
-        # Opt's distribution over the same conditions.
-        oracle = OptOracle()
-        env = EdgeCloudEnvironment(build_device(device_name),
-                                   scenario=scenarios[0], seed=seed)
-        for scheduler_scenario in scenarios:
-            for use_case in use_cases:
-                stats = evaluate_scheduler(env, oracle, use_case,
-                                           config.eval_runs,
-                                           scheduler_scenario)
-                for key, count in stats.decisions.items():
-                    opt_shares[key.split("/")[0]] += count
-        total = sum(shares.values())
-        opt_total = sum(opt_shares.values())
+        stats = _run_suite(device_name, network_names, scenarios, config,
+                           [OptOracle()], seed=seed)
+        autoscale = stats["autoscale"]
+        matches = sum(episode.oracle_matches for episode in autoscale)
+        checked = sum(episode.oracle_checked for episode in autoscale)
         entry = {
-            "autoscale_shares": {k: v / total for k, v in shares.items()},
-            "opt_shares": {k: v / opt_total for k, v in opt_shares.items()},
+            "autoscale_shares": _location_shares(autoscale),
+            "opt_shares": _location_shares(stats["opt"]),
             "prediction_accuracy_pct": matches / checked * 100.0,
         }
         per_device[device_name] = entry
@@ -500,14 +443,8 @@ def ablation_states(device_name="mi8pro", network_names=DEFAULT_NETWORKS,
                     observation = env.observe()
                     chosen = engine.predict(use_case.network, observation)
                     optimal = oracle.select(env, use_case, observation)
-                    sweep = env.estimate_all(use_case.network, observation)
-                    chosen_e = float(
-                        sweep.energy_mj[sweep.index_of(chosen)]
-                    )
-                    optimal_e = float(
-                        sweep.energy_mj[sweep.index_of(optimal)]
-                    )
-                    matches += int(decision_match(chosen_e, optimal_e))
+                    matches += int(decision_match(*oracle_energies(
+                        env, use_case, observation, chosen, optimal)))
                     checked += 1
                     env.execute(use_case.network, chosen, observation)
         accuracy = matches / checked * 100.0

@@ -29,6 +29,7 @@ from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
 from repro.evalharness.metrics import decision_match
 from repro.evalharness.reporting import format_table
+from repro.evalharness.runner import oracle_energies
 from repro.hardware.devices import build_device
 from repro.models.zoo import build_network
 
@@ -61,9 +62,8 @@ def _decision_quality(engine, use_cases, eval_runs=8):
             observation = env.observe()
             chosen = engine.predict(use_case.network, observation)
             optimal = oracle.select(env, use_case, observation)
-            sweep = env.estimate_all(use_case.network, observation)
-            chosen_e = float(sweep.energy_mj[sweep.index_of(chosen)])
-            optimal_e = float(sweep.energy_mj[sweep.index_of(optimal)])
+            chosen_e, optimal_e = oracle_energies(
+                env, use_case, observation, chosen, optimal)
             matches += int(decision_match(chosen_e, optimal_e))
             gaps.append(chosen_e / optimal_e - 1.0)
             checked += 1

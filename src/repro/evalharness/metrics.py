@@ -31,6 +31,7 @@ __all__ = [
     "ppw_ratio",
     "qos_violation_ratio",
     "decision_match",
+    "summarize",
 ]
 
 
@@ -148,6 +149,12 @@ class EpisodeStats:
         return float(np.mean(self.latencies_ms))
 
     @property
+    def violations(self):
+        """Inferences strictly over the QoS target."""
+        return sum(1 for latency_ms in self.latencies_ms
+                   if latency_ms > self.qos_ms)
+
+    @property
     def qos_violation_pct(self):
         return qos_violation_ratio(self.latencies_ms, self.qos_ms)
 
@@ -162,3 +169,28 @@ class EpisodeStats:
         total = sum(self.decisions.values())
         return {key: count / total
                 for key, count in sorted(self.decisions.items())}
+
+
+def summarize(episodes, baseline):
+    """One scheduler's figure entry: normalized PPW and QoS violation %.
+
+    Each episode is scored with :func:`ppw_ratio` against the
+    ``baseline`` episode of the same (use case, scenario) and the ratios
+    are averaged; episodes with no baseline episode are skipped.
+    Violations are pooled over inferences, not averaged per episode.
+    """
+    baseline_energy_mj = {(stats.use_case, stats.scenario):
+                          stats.mean_energy_mj for stats in baseline}
+    ratios, violations, total = [], 0, 0
+    for stats in episodes:
+        key = (stats.use_case, stats.scenario)
+        if key not in baseline_energy_mj:
+            continue
+        ratios.append(ppw_ratio(baseline_energy_mj[key],
+                                stats.mean_energy_mj))
+        violations += stats.violations
+        total += stats.num_inferences
+    if not ratios:
+        raise ConfigError("no episode has a baseline episode")
+    return {"ppw_norm": float(np.mean(ratios)),
+            "qos_violation_pct": violations / total * 100.0}

@@ -26,6 +26,7 @@ from repro.core.qlearning import QLearningConfig, QTable
 from repro.core.state import table_i_state_space
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
+from repro.evalharness.metrics import summarize
 from repro.evalharness.reporting import format_table
 from repro.evalharness.runner import evaluate_autoscale, train_autoscale
 from repro.hardware.devices import build_device
@@ -64,16 +65,15 @@ def compare_rl_designs(device_name="mi8pro",
                                        oracle=oracle)
                     for use_case in use_cases]
         total = len(use_cases) * eval_runs
-        violations = sum(
-            int(latency_ms > episode.qos_ms)
-            for episode in episodes for latency_ms in episode.latencies_ms
-        )
         matches = sum(episode.oracle_matches for episode in episodes)
+        # Scored against themselves every episode matches, so only the
+        # pooled violation % is read.
         rows.append({
             "learner": name,
             "mean_energy_mj": float(np.mean(
                 [e for episode in episodes for e in episode.energies_mj])),
-            "qos_violation_pct": violations / total * 100.0,
+            "qos_violation_pct":
+                summarize(episodes, episodes)["qos_violation_pct"],
             "prediction_accuracy_pct": matches / total * 100.0,
             "decide_us": engine.overhead.mean_select_us(),
             "memory_bytes": engine.memory_footprint_bytes(),

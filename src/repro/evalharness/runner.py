@@ -26,6 +26,7 @@ __all__ = [
     "evaluate_autoscale",
     "evaluate_scheduler",
     "loo_train_and_evaluate",
+    "oracle_energies",
 ]
 
 
@@ -96,6 +97,17 @@ def adapt_engine(engine, use_case, max_runs=50,
     return engine.convergence.converged_at
 
 
+def oracle_energies(env, use_case, observation, chosen, optimal):
+    """Nominal energies (mJ) of a chosen target and Opt's pick.
+
+    Both come from one sweep of the use case's network under
+    ``observation``, so the pair feeds :func:`decision_match` directly.
+    """
+    sweep = env.estimate_all(use_case.network, observation)
+    return (float(sweep.energy_mj[sweep.index_of(chosen)]),
+            float(sweep.energy_mj[sweep.index_of(optimal)]))
+
+
 def evaluate_autoscale(engine, use_case, eval_runs=30, oracle=None,
                        scenario=None):
     """Frozen greedy evaluation; optionally scores against the oracle."""
@@ -120,12 +132,10 @@ def evaluate_autoscale(engine, use_case, eval_runs=30, oracle=None,
         if oracle is not None:
             optimal = oracle.select(env, use_case, observation,
                                     state_key=state)
-            sweep = env.estimate_all(network, observation)
-            matched = decision_match(
-                float(sweep.energy_mj[sweep.index_of(
-                    engine.action_space.target(action))]),
-                float(sweep.energy_mj[sweep.index_of(optimal)]),
-            )
+            matched = decision_match(*oracle_energies(
+                env, use_case, observation,
+                engine.action_space.target(action), optimal,
+            ))
         step = engine.step_with_action(use_case, action, observation)
         stats.record(step.result, matched)
     engine.unfreeze()

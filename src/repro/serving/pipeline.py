@@ -297,7 +297,7 @@ class ServingPipeline:
         service = self.service
         engine = service.engine
         stage = self.guard.stage
-        base = getattr(service, "_guard_base", None)
+        base = service._guard_base
         if stage is GuardStage.HEALTHY:
             if base is not None:
                 base_config, base_training = base

@@ -115,6 +115,21 @@ class TestFig12:
     def test_all_targets_reported(self, result):
         assert set(result["results"]) == {"none", "50", "70"}
 
+    def test_results_pinned(self, result):
+        """Exact values at this fixture, as the driver produced them
+        before it ran through the shared suite runner and scorer."""
+        assert result["results"] == {
+            "none": {"accuracy_target": "none",
+                     "ppw_norm": 8.276964033494883,
+                     "qos_violation_pct": 0.0},
+            "50": {"accuracy_target": "50",
+                   "ppw_norm": 8.276964033494883,
+                   "qos_violation_pct": 0.0},
+            "70": {"accuracy_target": "70",
+                   "ppw_norm": 3.129052444537882,
+                   "qos_violation_pct": 50.0},
+        }
+
 
 class TestFig13:
     @pytest.fixture(scope="class")
@@ -135,6 +150,16 @@ class TestFig13:
         """Paper: 97.9%; we require >70% at this reduced scale."""
         entry = result["per_device"]["mi8pro"]
         assert entry["prediction_accuracy_pct"] > 70.0
+
+    def test_per_device_pinned(self, result):
+        """Exact values at this fixture, as the driver produced them
+        before it ran through the shared suite runner."""
+        assert result["per_device"] == {"mi8pro": {
+            "autoscale_shares": {"local": 0.5, "cloud": 0.5,
+                                 "connected": 0.0},
+            "opt_shares": {"local": 0.5, "cloud": 0.5, "connected": 0.0},
+            "prediction_accuracy_pct": 100.0,
+        }}
 
     def test_distribution_resembles_opt(self, result):
         entry = result["per_device"]["mi8pro"]

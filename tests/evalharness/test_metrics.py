@@ -13,6 +13,7 @@ from repro.evalharness.metrics import (
     misclassification_ratio,
     ppw_ratio,
     qos_violation_ratio,
+    summarize,
 )
 
 
@@ -110,7 +111,58 @@ class TestEpisodeStats:
         stats.record(self._result())
         assert math.isnan(stats.prediction_accuracy_pct)
 
+    def test_violations_strictly_over_target(self):
+        """A latency equal to the QoS target is not a violation."""
+        stats = EpisodeStats("s", "c", "S1", qos_ms=50.0)
+        for latency in (49.0, 50.0, 50.001, 80.0):
+            stats.record(self._result(latency=latency))
+        assert stats.violations == 2
+
     def test_empty_stats_rejected(self):
         stats = EpisodeStats("s", "c", "S1", qos_ms=50.0)
         with pytest.raises(ConfigError):
             _ = stats.mean_energy_mj
+
+
+class TestSummarize:
+    @staticmethod
+    def _episode(scheduler, use_case, scenario, samples, qos_ms=50.0):
+        stats = EpisodeStats(scheduler, use_case, scenario, qos_ms=qos_ms)
+        for latency_ms, energy_mj in samples:
+            stats.record(ExecutionResult(
+                latency_ms=latency_ms, energy_mj=energy_mj,
+                estimated_energy_mj=energy_mj, accuracy_pct=70.0,
+                target_key="local/cpu/fp32/vf0",
+            ))
+        return stats
+
+    def test_skips_unmatched_and_pools_violations(self):
+        baseline = [
+            self._episode("base", "a", "S1", [(10.0, 100.0)]),
+            self._episode("base", "b", "S1", [(10.0, 40.0)]),
+        ]
+        episodes = [
+            # 1 of 1 over the target; PPW 100/50 = 2.
+            self._episode("x", "a", "S1", [(60.0, 50.0)]),
+            # 1 of 3 over the target; PPW 40/10 = 4.
+            self._episode("x", "b", "S1",
+                          [(20.0, 10.0), (50.0, 10.0), (70.0, 10.0)]),
+            # No baseline episode for (a, S2): skipped entirely.
+            self._episode("x", "a", "S2", [(90.0, 1.0)] * 4),
+        ]
+        summary = summarize(episodes, baseline)
+        assert summary == {
+            "ppw_norm": pytest.approx(3.0),
+            # Pooled 2 of 4 inferences, not the 75% mean of 100% and 33%.
+            "qos_violation_pct": pytest.approx(50.0),
+        }
+
+    def test_baseline_scores_one(self):
+        baseline = [self._episode("base", "a", "S1", [(10.0, 7.0)])]
+        assert summarize(baseline, baseline)["ppw_norm"] == 1.0
+
+    def test_no_matched_episode_rejected(self):
+        baseline = [self._episode("base", "a", "S1", [(10.0, 7.0)])]
+        episodes = [self._episode("x", "b", "S1", [(10.0, 7.0)])]
+        with pytest.raises(ConfigError):
+            summarize(episodes, baseline)
